@@ -10,23 +10,31 @@ fixed RK4 step, holding the quantized state constant within each step:
 
 with phi(0) = Q(x1(0)).  Recorded samples expose x1, phi, x2 = Q(phi),
 both input channels, and the output gap per sample.
+
+A batch of T runs is integrated in one loop: the T concrete states and
+the T nominal states are the rows of one (2T, n) array, so every RK4
+stage is a single right-hand-side call over all 2T rows.  A single run
+is the batch of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .dynamics import (
+    DIVERGENCE_LIMIT,
     PiecewiseConstantSignal,
     SystemModel,
-    _guard_state,
+    _diverged,
     _steps_on_grid,
     _vector,
     rk4_step,
 )
-from .errors import BadRange, DimensionMismatch, InputViolation, OutOfDomain
+from .errors import BadRange, DimensionMismatch, Diverged, InputViolation, OutOfDomain
 from .interface import ALL_SPACE, AffineInterface, InputSet
 from .lattice import LatticeParams, _snap
 
@@ -60,11 +68,15 @@ def initial_pair_check(x1, x2, eta: float) -> bool:
 
 @dataclass
 class AugmentedRun:
-    """Sampled record of one coupled run.
+    """Sampled record of one coupled run, or of a batch of runs.
 
     Invariants: x2_states[i] is exactly the quantized phi_states[i], and
     u_values[i] = v_values[i] + G (x1_states[i] - x2_states[i]).  Input
     values at the final sample reuse the last active segment of v.
+
+    A batch record puts the trial first on every array but ``times``,
+    which the trials share; its ``exit_sample`` holds, per trial, the
+    first sample at which u leaves the input set, or -1.
     """
 
     times: np.ndarray
@@ -75,13 +87,27 @@ class AugmentedRun:
     v_values: np.ndarray
     y_err: np.ndarray
     step: float
+    exit_sample: np.ndarray | None = None
+
+    def trial(self, k: int) -> AugmentedRun:
+        """Trial ``k`` of a batch record, as views of the batch arrays."""
+        return AugmentedRun(
+            times=self.times,
+            x1_states=self.x1_states[k],
+            phi_states=self.phi_states[k],
+            x2_states=self.x2_states[k],
+            u_values=self.u_values[k],
+            v_values=self.v_values[k],
+            y_err=self.y_err[k],
+            step=self.step,
+        )
 
 
 def simulate_augmented(
     sys: SystemModel,
     iface: AffineInterface,
     x1_0,
-    v: PiecewiseConstantSignal,
+    v: PiecewiseConstantSignal | Sequence[PiecewiseConstantSignal],
     params: LatticeParams,
     horizon: float,
     h: float,
@@ -89,66 +115,105 @@ def simulate_augmented(
 ) -> AugmentedRun:
     """Run the coupled concrete/abstract pair from x1_0 over [0, horizon].
 
-    ``input_box``, when bounded, is the declared concrete input set; a
-    recorded u outside it raises InputViolation.
+    ``input_box``, when bounded, is the declared concrete input set.  A
+    vector ``x1_0`` with one signal ``v`` is one run, and a recorded u
+    outside ``input_box`` raises InputViolation.  A (T, n) ``x1_0`` with
+    a sequence of T signals is a batch: the record has a leading trial
+    axis, and a trial whose u leaves ``input_box`` is marked in
+    ``exit_sample`` while the others run on.  A run that diverges before
+    its u leaves ``input_box`` raises Diverged.
     """
-    x1 = _vector(x1_0, sys.n, "x1_0")
+    single = np.ndim(x1_0) != 2
+    if single:
+        x1 = _vector(x1_0, sys.n, "x1_0")[None]
+        signals = [v]
+    else:
+        x1 = np.asarray(x1_0, dtype=float)
+        signals = list(v)
+        if x1.shape != (len(signals), sys.n) or not signals:
+            raise DimensionMismatch(
+                f"x1_0: expected shape ({len(signals)}, {sys.n}) for {len(signals)} signals,"
+                f" got {x1.shape}"
+            )
     if params.n != sys.n:
         raise DimensionMismatch(f"lattice dimension {params.n} != state dimension {sys.n}")
     if iface.state_dim != sys.n or iface.input_dim != sys.input_dim:
         raise DimensionMismatch(
             f"interface gain is {iface.gain.shape}, system wants ({sys.input_dim}, {sys.n})"
         )
-    if v.dim != sys.input_dim:
-        raise DimensionMismatch(f"signal dimension {v.dim} != input dimension {sys.input_dim}")
+    for sig in signals:
+        if sig.dim != sys.input_dim:
+            raise DimensionMismatch(f"signal dimension {sig.dim} != input dimension {sys.input_dim}")
     n_steps = _steps_on_grid(horizon, h)
-    if horizon > v.domain_end * (1.0 + 1e-9):
+    if horizon > min(sig.domain_end for sig in signals) * (1.0 + 1e-9):
         raise OutOfDomain("horizon extends past the signal domain")
-    v_vals = v.step_values(h, n_steps)
+    v_values = np.stack([sig.step_values(h, n_steps) for sig in signals])
     spacing = params.spacing
-    gain = iface.gain
-    out = sys.output_matrix()
+    gain_t = iface.gain.T
 
-    n = sys.n
-    x1_states = np.empty((n_steps + 1, n))
-    phi_states = np.empty((n_steps + 1, n))
-    u_values = np.empty((n_steps + 1, sys.input_dim))
+    T, n = x1.shape
+    states = np.empty((2 * T, n_steps + 1, n))
+    x1_states, phi_states = states[:T], states[T:]
+    # Rows 0..T-1 of z are the concrete states, rows T..2T-1 the nominal
+    # ones; the nominal rows are driven by v alone.
+    z = np.concatenate([x1, _snap(x1, spacing) * spacing])
+    states[:, 0] = z
+    u = np.empty((2 * T, sys.input_dim))
+    # No trial's norm can exceed the limit while every entry is below this.
+    entry_limit = DIVERGENCE_LIMIT / math.sqrt(2 * n)
 
-    phi = _snap(x1, spacing) * spacing
-    x1_states[0] = x1
-    phi_states[0] = phi
-    for i in range(n_steps + 1):
-        x2 = _snap(phi, spacing) * spacing
-        vi = v_vals[i]
-        ui = vi + gain @ (x1 - x2)
-        u_values[i] = ui
-        if not input_box.contains(ui):
-            raise InputViolation(
-                f"interface input left the declared set at t = {i * h:g}"
-            )
-        if i == n_steps:
-            break
+    def inputs(k: int, stop: int):
+        """x2 and u of trial k at samples 0..stop-1."""
+        x2k = _snap(phi_states[k, :stop], spacing) * spacing
+        return x2k, v_values[k, :stop] + (x1_states[k, :stop] - x2k) @ gain_t
 
-        def coupled(z):
-            dx1 = sys.rhs(z[:n], vi + gain @ (z[:n] - x2))
-            dphi = sys.rhs(z[n:], vi)
-            return np.concatenate([dx1, dphi])
+    def coupled(z):
+        u[:T] = v_i + (z[:T] - x2) @ gain_t
+        return sys.rhs(z, u)
 
-        z = rk4_step(coupled, np.concatenate([x1, phi]), h)
-        _guard_state(z)
-        x1, phi = z[:n], z[n:]
-        x1_states[i + 1] = x1
-        phi_states[i + 1] = phi
+    for i in range(n_steps):
+        x2 = _snap(z[T:], spacing) * spacing
+        v_i = v_values[:, i]
+        u[T:] = v_i
+        z = rk4_step(coupled, z, h)
+        if not np.abs(z).max() <= entry_limit:
+            # A trial's first event decides its outcome: u leaving the
+            # input set at one of samples 0..i, or divergence at i + 1.
+            for k in np.flatnonzero(_diverged(np.hstack([z[:T], z[T:]]))):
+                if input_box.first_exit(inputs(k, i + 1)[1]) is None:
+                    where = "" if single else f"trial {k}: "
+                    raise Diverged(f"{where}state norm exceeded {DIVERGENCE_LIMIT:g}")
+                # Settled as an input violation; keep its rows finite.
+                z[[k, T + k]] = 0.0
+        states[:, i + 1] = z
 
-    x2_states = _snap(phi_states, spacing) * spacing
-    y_err = np.linalg.norm((x1_states - x2_states) @ out.T, axis=1)
-    return AugmentedRun(
+    # One trial at a time, so temporaries stay O(steps * n).
+    x2_states = np.empty_like(x1_states)
+    u_values = np.empty_like(v_values)
+    y_err = np.empty((T, n_steps + 1))
+    exit_sample = np.full(T, -1)
+    out_t = sys.output_matrix().T
+    for k in range(T):
+        x2_states[k], u_values[k] = inputs(k, n_steps + 1)
+        y_err[k] = np.linalg.norm((x1_states[k] - x2_states[k]) @ out_t, axis=1)
+        first = input_box.first_exit(u_values[k])
+        if first is not None:
+            exit_sample[k] = first
+    run = AugmentedRun(
         times=np.arange(n_steps + 1) * h,
         x1_states=x1_states,
         phi_states=phi_states,
         x2_states=x2_states,
         u_values=u_values,
-        v_values=v_vals.copy(),
+        v_values=v_values,
         y_err=y_err,
         step=h,
+        exit_sample=exit_sample,
     )
+    if not single:
+        return run
+    if exit_sample[0] >= 0:
+        raise InputViolation(
+            f"interface input left the declared set at t = {int(exit_sample[0]) * h:g}"
+        )
+    return run.trial(0)

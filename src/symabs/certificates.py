@@ -55,14 +55,6 @@ class MonomialKInf:
         return (y / self.coeff) ** (1.0 / self.power)
 
 
-def kinf_eval(f: MonomialKInf, x: float, direction: str = "forward") -> float:
-    if direction == "forward":
-        return f.forward(x)
-    if direction == "inverse":
-        return f.inverse(x)
-    raise BadRange(f"direction must be 'forward' or 'inverse', got {direction!r}")
-
-
 # ---------------------------------------------------------------------------
 # certificates
 

@@ -69,6 +69,9 @@ _RUNTIME_ERRORS = (
 )
 
 
+_CSV_CHUNK = 2048
+
+
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
@@ -105,19 +108,16 @@ def write_trajectory_csv(path: Path, run: AugmentedRun) -> None:
         + [f"v_{i + 1}" for i in range(m)]
         + ["y_err"]
     )
-    lines = [",".join(header)]
-    for i in range(run.times.shape[0]):
-        row = (
-            [run.times[i]]
-            + list(run.x1_states[i])
-            + list(run.phi_states[i])
-            + list(run.x2_states[i])
-            + list(run.u_values[i])
-            + list(run.v_values[i])
-            + [run.y_err[i]]
-        )
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    table = np.column_stack(
+        [run.times, run.x1_states, run.phi_states, run.x2_states, run.u_values, run.v_values, run.y_err]
+    )
+    # "%.17g" renders a float exactly as format(x, ".17g") does.  Rows are
+    # rendered in chunks to bound the memory held by Python floats.
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with path.open("w") as f:
+        f.write(",".join(header) + "\n")
+        for start in range(0, table.shape[0], _CSV_CHUNK):
+            f.write("".join([row % tuple(r) for r in table[start : start + _CSV_CHUNK].tolist()]))
 
 
 def _constants_dict(cfg: ExperimentConfig, eta: float) -> dict:

@@ -9,10 +9,11 @@ state.  ``IqcSystem`` is the feedback-interconnection form
 
     dx/dt = A x + B u + E p(C_q x + D_q p),  y = C x,
 
-where ``p`` is a static nonlinearity.  Integration uses a fixed-step
-classic Runge-Kutta scheme; inputs are piecewise constant with
-breakpoints aligned to the step grid, so the right-hand side is
-autonomous within every step.
+where ``p`` is a static nonlinearity.  Both right-hand sides take one
+state or a stack of states as rows, so a batch of runs is stepped with
+one call.  Integration uses a fixed-step classic Runge-Kutta scheme;
+inputs are piecewise constant with breakpoints aligned to the step
+grid, so the right-hand side is autonomous within every step.
 """
 
 from __future__ import annotations
@@ -71,7 +72,8 @@ class SineSystem:
         return np.eye(self.n)
 
     def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.m_gain * np.sin(x) + u
+        """Vector field at ``x`` under ``u``: vectors, or matching rows."""
+        return x @ self.A.T + self.m_gain * np.sin(x) + u
 
     def output(self, x: np.ndarray) -> np.ndarray:
         return np.asarray(x, dtype=float)
@@ -144,40 +146,38 @@ class IqcSystem:
         return self.C
 
     def _loop_value(self, x: np.ndarray) -> np.ndarray:
-        q = self.C_q @ x
+        q = x @ self.C_q.T
         if not np.any(self.D_q):
             w = np.asarray(self.p(q), dtype=float)
         else:
-            w = np.zeros(self.l_e)
+            # Each row stops iterating once it converges, so a row of a
+            # stack gets the same iterate as the row on its own.
+            w = np.zeros(q.shape[:-1] + (self.l_e,))
+            active = np.ones(q.shape[:-1], dtype=bool)
             for _ in range(100):
-                w_next = np.asarray(self.p(q + self.D_q @ w), dtype=float)
-                if np.linalg.norm(w_next - w) <= 1e-12 * (1.0 + np.linalg.norm(w_next)):
-                    w = w_next
+                w_next = np.asarray(self.p(q + w @ self.D_q.T), dtype=float)
+                done = _norms(w_next - w) <= 1e-12 * (1.0 + _norms(w_next))
+                w = np.where(active[..., None], w_next, w)
+                active &= ~done
+                if not np.count_nonzero(active):
                     break
-                w = w_next
             else:
                 raise Diverged("implicit nonlinearity loop did not converge")
-        if w.shape != (self.l_e,):
+        if w.shape != q.shape[:-1] + (self.l_e,):
             raise DimensionMismatch(
                 f"nonlinearity returned shape {w.shape}, expected ({self.l_e},)"
             )
         return w
 
     def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        return self.A @ x + self.B @ u + self.E @ self._loop_value(x)
+        """Vector field at ``x`` under ``u``: vectors, or matching rows."""
+        return x @ self.A.T + u @ self.B.T + self._loop_value(x) @ self.E.T
 
     def output(self, x: np.ndarray) -> np.ndarray:
         return self.C @ np.asarray(x, dtype=float)
 
 
 SystemModel = SineSystem | IqcSystem
-
-
-def eval_rhs(sys: SystemModel, x, u) -> np.ndarray:
-    """Vector field of ``sys`` at state ``x`` under input ``u``."""
-    xv = _vector(x, sys.n, "x")
-    uv = _vector(u, sys.input_dim, "u")
-    return sys.rhs(xv, uv)
 
 
 @dataclass(frozen=True)
@@ -245,10 +245,6 @@ class PiecewiseConstantSignal:
         return self.values[idx]
 
 
-def eval_signal(u: PiecewiseConstantSignal, t: float) -> np.ndarray:
-    return u.eval(t)
-
-
 @dataclass(frozen=True)
 class Trajectory:
     times: np.ndarray
@@ -277,8 +273,20 @@ def _steps_on_grid(horizon: float, h: float) -> int:
     return n
 
 
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of ``x``, or of each row of a stack."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
+def _diverged(x: np.ndarray) -> np.ndarray:
+    """Whether ``x``, or each row of a stack, is non-finite or has a norm
+    above DIVERGENCE_LIMIT."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return ~(_norms(x) <= DIVERGENCE_LIMIT)
+
+
 def _guard_state(x: np.ndarray) -> None:
-    if not np.all(np.isfinite(x)) or float(np.linalg.norm(x)) > DIVERGENCE_LIMIT:
+    if _diverged(x):
         raise Diverged(f"state norm exceeded {DIVERGENCE_LIMIT:g}")
 
 

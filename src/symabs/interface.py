@@ -57,6 +57,9 @@ class AllSpace:
     def contains(self, u) -> bool:
         return True
 
+    def first_exit(self, points) -> int | None:
+        return None
+
     def __repr__(self) -> str:
         return "AllSpace()"
 
@@ -90,6 +93,11 @@ class BoxInputSet:
         if v.shape != self.lower.shape:
             raise DimensionMismatch(f"point shape {v.shape} does not match box dimension {self.dim}")
         return bool(np.all(v >= self.lower) and np.all(v <= self.upper))
+
+    def first_exit(self, points) -> int | None:
+        """Index of the first row of ``points`` outside the box, or None."""
+        inside = np.all((points >= self.lower) & (points <= self.upper), axis=-1)
+        return None if inside.all() else int(np.argmin(inside))
 
 
 InputSet = BoxInputSet | AllSpace

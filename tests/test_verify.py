@@ -283,3 +283,38 @@ def test_lyapunov_destabilizing_gain_violates():
 def test_lyapunov_grid_too_coarse():
     with pytest.raises(GridTooCoarse):
         lyapunov_decrease_check(synthetic_run(gap=0.1, n_samples=2), np.eye(2), demo_consts())
+
+
+def test_relation_isolates_violating_trials():
+    free = run_relation(trials=6)
+    peaks = sorted(float(np.max(np.abs(run.u_values))) for run in free.runs)
+    bound = 0.5 * (peaks[2] + peaks[3])
+    box = BoxInputSet(lower=np.array([-bound, -bound]), upper=np.array([bound, bound]))
+    boxed = run_relation(trials=6, input_box=box)
+    assert not boxed.passed
+    assert boxed.input_violations == 3
+    assert len(boxed.runs) == 3
+    for run, err, free_err in zip(free.runs, boxed.per_trial_max_err, free.per_trial_max_err):
+        if float(np.max(np.abs(run.u_values))) > bound:
+            assert math.isinf(err)
+        else:
+            assert err == free_err
+
+
+def test_relation_counts_violation_before_divergence():
+    # The gap of this unstable pair grows like exp(50 t): u leaves the
+    # declared box well before the states diverge, so each trial is an
+    # input violation rather than a Diverged error for the whole call.
+    report = verify_simulation_relation(
+        SineSystem(A=50.0 * np.eye(2), m_gain=0.0),
+        AffineInterface(gain=-0.01 * np.eye(2)),
+        DEMO_PARAMS,
+        0.5,
+        BoxInputSet(lower=np.zeros(2), upper=np.zeros(2)),
+        BoxInputSet(lower=np.array([0.3, -0.8]), upper=np.array([0.6, -0.5])),
+        3, 0, 1.0, 1e-3, 0.5,
+        input_box=BoxInputSet(lower=np.array([-1.0, -1.0]), upper=np.array([1.0, 1.0])),
+    )
+    assert report.input_violations == 3
+    assert all(math.isinf(v) for v in report.per_trial_max_err)
+    assert report.runs == []
