@@ -1,6 +1,6 @@
 """Lattice-based symbolic abstractions with certificate-backed interfaces."""
 
-from .abstraction import AugmentedRun, AugmentedState, initial_pair_check, omega_distance, simulate_augmented
+from .abstraction import AugmentedRun, simulate_augmented
 from .certificates import (
     GpsConstants,
     IqcCertificate,
@@ -27,7 +27,7 @@ from .dynamics import (
     rk4_step,
 )
 from .errors import SymabsError
-from .interface import ALL_SPACE, AffineInterface, BoxInputSet, apply_interface, input_margin, shrink_box
+from .interface import ALL_SPACE, AffineInterface, BoxInputSet, input_margin, shrink_box
 from .lattice import LatticeParams, LatticePoint, quantize, quantize_batch
 from .numerics import eig_extremes, nsd_check, spectral_norm
 from .verify import (
@@ -43,7 +43,6 @@ __all__ = [
     "ALL_SPACE",
     "AffineInterface",
     "AugmentedRun",
-    "AugmentedState",
     "BoxInputSet",
     "ExperimentConfig",
     "GpsConstants",
@@ -58,7 +57,6 @@ __all__ = [
     "SineSystem",
     "SymabsError",
     "Trajectory",
-    "apply_interface",
     "check_lmi_iqc",
     "check_lmi_sine",
     "delta_qc_sample_check",
@@ -68,7 +66,6 @@ __all__ = [
     "eta_feasible",
     "fixture_names",
     "gps_constants",
-    "initial_pair_check",
     "input_margin",
     "integrate_rk4",
     "lipschitz_delta_mm",
@@ -77,7 +74,6 @@ __all__ = [
     "max_feasible_alpha_iqc",
     "max_feasible_alpha_sine",
     "nsd_check",
-    "omega_distance",
     "parse_config",
     "quantize",
     "quantize_batch",

@@ -34,36 +34,9 @@ from .dynamics import (
     _vector,
     rk4_step,
 )
-from .errors import BadRange, DimensionMismatch, Diverged, InputViolation, OutOfDomain
+from .errors import DimensionMismatch, Diverged, InputViolation, OutOfDomain
 from .interface import ALL_SPACE, AffineInterface, InputSet
 from .lattice import LatticeParams, _snap
-
-
-@dataclass(frozen=True)
-class AugmentedState:
-    x1: np.ndarray
-    x2: np.ndarray
-
-
-def omega_distance(state: AugmentedState) -> float:
-    """Distance ||x1 - x2|| used against the diagonal set.
-
-    The Euclidean distance from the stacked point (x1, x2) to the
-    diagonal is ||x1 - x2|| / sqrt(2); every bound in this package is
-    stated against the undivided gap, so that is what is returned.
-    """
-    a = np.asarray(state.x1, dtype=float)
-    b = np.asarray(state.x2, dtype=float)
-    if a.shape != b.shape:
-        raise DimensionMismatch(f"component shapes differ: {a.shape} vs {b.shape}")
-    return float(np.linalg.norm(a - b))
-
-
-def initial_pair_check(x1, x2, eta: float) -> bool:
-    """Whether (x1, x2) qualifies as an initial pair: gap at most eta."""
-    if not eta > 0.0:
-        raise BadRange(f"eta must be positive, got {eta}")
-    return omega_distance(AugmentedState(x1=np.asarray(x1, float), x2=np.asarray(x2, float))) <= eta
 
 
 @dataclass
@@ -171,6 +144,11 @@ def simulate_augmented(
         u[:T] = v_i + (z[:T] - x2) @ gain_t
         return sys.rhs(z, u)
 
+    # An exit at sample 0 precedes any divergence, so a single run that
+    # starts outside the input set needs no integration.
+    if single and input_box.first_exit(inputs(0, 1)[1]) is not None:
+        raise _input_violation(0, h)
+
     for i in range(n_steps):
         x2 = _snap(z[T:], spacing) * spacing
         v_i = v_values[:, i]
@@ -213,7 +191,9 @@ def simulate_augmented(
     if not single:
         return run
     if exit_sample[0] >= 0:
-        raise InputViolation(
-            f"interface input left the declared set at t = {int(exit_sample[0]) * h:g}"
-        )
+        raise _input_violation(int(exit_sample[0]), h)
     return run.trial(0)
+
+
+def _input_violation(sample: int, h: float) -> InputViolation:
+    return InputViolation(f"interface input left the declared set at t = {sample * h:g}")

@@ -23,7 +23,15 @@ from .errors import (
     NegativeInput,
     NotPositiveDefinite,
 )
-from .numerics import DEFAULT_TOL, NsdVerdict, as_matrix, eig_extremes, nsd_check, spectral_norm
+from .numerics import (
+    DEFAULT_TOL,
+    EigenExtremes,
+    NsdVerdict,
+    as_matrix,
+    eig_extremes,
+    nsd_check,
+    spectral_norm,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -71,12 +79,13 @@ class PrecisionSpec:
             raise BadRange(f"rho must be finite and positive, got {self.rho}")
 
 
-def _positive_definite(P, tol: float, name: str) -> np.ndarray:
+def _positive_definite(P, tol: float, name: str) -> tuple[np.ndarray, EigenExtremes]:
+    """``P`` as a matrix and its eigenvalue extremes, from one eigen call."""
     P = as_matrix(P, name)
     ext = eig_extremes(P, tol)
     if ext.lambda_min <= tol:
         raise NotPositiveDefinite(f"{name}: lambda_min = {ext.lambda_min:.3e} is not > tol")
-    return P
+    return P, ext
 
 
 @dataclass(frozen=True)
@@ -87,7 +96,7 @@ class SineCertificate:
     m_gain: float
 
     def __post_init__(self):
-        P = _positive_definite(self.P, DEFAULT_TOL, "P")
+        P, _ = _positive_definite(self.P, DEFAULT_TOL, "P")
         R = as_matrix(self.R, "R")
         if R.shape != P.shape:
             raise DimensionMismatch(f"R must match P, got {R.shape} vs {P.shape}")
@@ -107,7 +116,7 @@ class IqcCertificate:
     M: np.ndarray
 
     def __post_init__(self):
-        P = _positive_definite(self.P, DEFAULT_TOL, "P")
+        P, _ = _positive_definite(self.P, DEFAULT_TOL, "P")
         L = as_matrix(self.L, "L")
         M = as_matrix(self.M, "M")
         if L.shape[1] != P.shape[0]:
@@ -222,7 +231,7 @@ def max_feasible_alpha_sine(
 ) -> float:
     """Largest decay rate for which the sine-feedback inequality holds,
     holding P and R fixed. Raises Infeasible if none exists."""
-    P = _positive_definite(P, tol, "P")
+    P, _ = _positive_definite(P, tol, "P")
     R = as_matrix(R, "R")
     A = as_matrix(A, "A")
     return _alpha_boundary(
@@ -240,7 +249,7 @@ def max_feasible_alpha_iqc(
     alpha_cap: float = 1e6,
 ) -> float:
     """Largest decay rate for the interconnection inequality with P, L, M fixed."""
-    P = _positive_definite(P, tol, "P")
+    P, _ = _positive_definite(P, tol, "P")
     L = as_matrix(L, "L")
     M = as_matrix(M, "M")
     return _alpha_boundary(
@@ -342,7 +351,25 @@ class GpsConstants:
     eta: float
 
 
-def _young_rate(alpha: float, a: float) -> float:
+@dataclass(frozen=True)
+class _Scales:
+    """The eta-independent scales of a certificate (P, L, alpha) with
+    gain ``L`` fed through ``B``, at Young parameter ``a``.
+
+    With k = 2*alpha - a, ``ext`` the eigenvalue extremes of P and
+    lhat = ||L'B'PBL||, ``ratio`` is lmax(P) / lmin(P), ``drift`` is
+    lhat / (a * k * lmin(P)), and K1 = sqrt(ratio + drift).
+    """
+
+    k: float
+    ext: EigenExtremes
+    lhat: float
+    ratio: float
+    drift: float
+    K1: float
+
+
+def _scales(P, B, L, alpha: float, a: float) -> _Scales:
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise BadRange(f"alpha must be finite and positive, got {alpha}")
     if not (math.isfinite(a) and 0.0 < a < 2.0 * alpha):
@@ -350,35 +377,34 @@ def _young_rate(alpha: float, a: float) -> float:
     k = 2.0 * alpha - a
     if k < 1e-9:
         raise BadRange(f"residual rate k = {k:g} is numerically zero")
-    return k
-
-
-def gps_constants(P, B, L, alpha: float, a: float, eta: float) -> GpsConstants:
-    """Derive the trajectory-bound constants for gain ``L`` fed through ``B``."""
-    k = _young_rate(alpha, a)
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise BadRange(f"eta must be finite and positive, got {eta}")
-    P = _positive_definite(P, DEFAULT_TOL, "P")
+    P, ext = _positive_definite(P, DEFAULT_TOL, "P")
     B = as_matrix(B, "B")
     L = as_matrix(L, "L")
     if B.shape[0] != P.shape[0] or L.shape != (B.shape[1], P.shape[0]):
         raise DimensionMismatch(
             f"inconsistent shapes: P {P.shape}, B {B.shape}, L {L.shape}"
         )
-    ext = eig_extremes(P)
     lhat = spectral_norm(L.T @ B.T @ P @ B @ L)
     ratio = ext.lambda_max / ext.lambda_min
     drift = lhat / (a * k * ext.lambda_min)
+    return _Scales(k, ext, lhat, ratio, drift, math.sqrt(ratio + drift))
+
+
+def gps_constants(P, B, L, alpha: float, a: float, eta: float) -> GpsConstants:
+    """Derive the trajectory-bound constants for gain ``L`` fed through ``B``."""
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise BadRange(f"eta must be finite and positive, got {eta}")
+    s = _scales(P, B, L, alpha, a)
     return GpsConstants(
         a=a,
-        k=k,
-        lhat_norm=lhat,
-        K1=math.sqrt(ratio + drift),
-        beta_coeff=math.sqrt(ratio),
+        k=s.k,
+        lhat_norm=s.lhat,
+        K1=s.K1,
+        beta_coeff=math.sqrt(s.ratio),
         beta_rate=alpha - 0.5 * a,
-        practical_offset=(math.sqrt(drift) + 1.0) * eta,
-        gamma=k,
-        sigma_bound=lhat * eta**2 / a,
+        practical_offset=(math.sqrt(s.drift) + 1.0) * eta,
+        gamma=s.k,
+        sigma_bound=s.lhat * eta**2 / a,
         omega_bound=eta,
         eta=eta,
     )
@@ -387,24 +413,19 @@ def gps_constants(P, B, L, alpha: float, a: float, eta: float) -> GpsConstants:
 def eta_bound_closed_form(P, B, L, C_out, alpha: float, a: float, epsilon: float) -> float:
     """Largest lattice radius guaranteeing output error ``epsilon``.
 
-    Closed form: with k = 2*alpha - a, s = a*k and lhat = ||L'B'PBL||,
+    With K1 from ``gps_constants``, the radius must satisfy
 
-        eta <= (epsilon / ||C_out||) * sqrt(s * lmin(P))
-               / (sqrt(s * lmin(P)) + sqrt(s * lmax(P) + lhat)).
+        (K1 + 1) * eta * ||C_out|| <= epsilon,
+
+    so the bound is epsilon / (||C_out|| * (1 + K1)).
     """
-    k = _young_rate(alpha, a)
     if not (math.isfinite(epsilon) and epsilon > 0.0):
         raise BadRange(f"epsilon must be finite and positive, got {epsilon}")
-    P = _positive_definite(P, DEFAULT_TOL, "P")
-    ext = eig_extremes(P)
-    lhat = spectral_norm(as_matrix(L, "L").T @ as_matrix(B, "B").T @ P @ B @ L)
+    s = _scales(P, B, L, alpha, a)
     rho = spectral_norm(C_out)
     if rho <= 0.0:
         raise BadRange("output matrix must be nonzero")
-    s = a * k
-    lo = math.sqrt(s * ext.lambda_min)
-    hi = math.sqrt(s * ext.lambda_max + lhat)
-    return (epsilon / rho) * lo / (lo + hi)
+    return epsilon / (rho * (1.0 + s.K1))
 
 
 def eta_feasible(

@@ -18,7 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from .abstraction import AugmentedRun, simulate_augmented
-from .certificates import check_lmi_iqc, check_lmi_sine, max_feasible_alpha_iqc, max_feasible_alpha_sine
+from .certificates import (
+    GpsConstants,
+    check_lmi_iqc,
+    check_lmi_sine,
+    max_feasible_alpha_iqc,
+    max_feasible_alpha_sine,
+)
 from .config import ExperimentConfig, load_config, resolve_eta
 from .errors import (
     BadRange,
@@ -120,9 +126,8 @@ def write_trajectory_csv(path: Path, run: AugmentedRun) -> None:
             f.write("".join([row % tuple(r) for r in table[start : start + _CSV_CHUNK].tolist()]))
 
 
-def _constants_dict(cfg: ExperimentConfig, eta: float) -> dict:
-    c = cfg.constants(eta)
-    return {f.name: getattr(c, f.name) for f in dataclasses.fields(c)}
+def _constants_dict(consts: GpsConstants) -> dict:
+    return {f.name: getattr(consts, f.name) for f in dataclasses.fields(consts)}
 
 
 def _certificate_verdict(cfg: ExperimentConfig, tol: float) -> dict:
@@ -179,7 +184,7 @@ def cmd_eta_bound(cfg: ExperimentConfig, args) -> tuple[int, dict]:
         "eta_bound": bound,
         "eta": eta,
         "epsilon": cfg.epsilon,
-        "constants": _constants_dict(cfg, eta),
+        "constants": _constants_dict(cfg.constants(eta)),
     }
     print(f"theorem {thm} admissible lattice radius: {_fmt(bound)}")
     return 0, report
@@ -246,7 +251,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict]:
         "max_y_err": max_err,
         "passed": passed,
         "margin_r": margin,
-        "constants": _constants_dict(cfg, eta),
+        "constants": _constants_dict(consts),
         "abstract_input_set": {"lower": shrunk.lower, "upper": shrunk.upper},
         "csv": csv_path.name,
         "samples": int(run.times.shape[0]),
@@ -290,7 +295,7 @@ def cmd_verify(cfg: ExperimentConfig, args) -> tuple[int, dict]:
         "command": "verify",
         "certificate": cert_verdict,
         "eta": {"value": eta, "bound": bound, "theorem": thm, "satisfied": eta_ok},
-        "constants": _constants_dict(cfg, eta),
+        "constants": _constants_dict(consts),
         "margin_r": margin,
         "abstract_input_set": {"lower": shrunk.lower, "upper": shrunk.upper},
         "relation": {

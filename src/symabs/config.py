@@ -24,6 +24,7 @@ from .certificates import (
     MonomialKInf,
     PrecisionSpec,
     SineCertificate,
+    _scales,
     eta_bound_closed_form,
     eta_feasible,
     gps_constants,
@@ -490,24 +491,20 @@ def theorem_eta_bound(cfg: ExperimentConfig, theorem: int) -> float:
             a=a,
             epsilon=cfg.epsilon,
         )
-    ext = eig_extremes(P)
-    alpha_lo = MonomialKInf(coeff=ext.lambda_min, power=2.0)
-    alpha_hi = MonomialKInf(coeff=ext.lambda_max, power=2.0)
-    prec = cfg.precision()
     if theorem == 2:
-        return eta_feasible(prec, alpha_lo, alpha_hi)
-    if theorem == 3:
-        k = 2.0 * alpha - a
-        lhat = spectral_norm(
-            cfg.gain_matrix().T
-            @ cfg.input_span_matrix().T
-            @ P
-            @ cfg.input_span_matrix()
-            @ cfg.gain_matrix()
-        )
-        sigma = MonomialKInf(coeff=lhat / a, power=2.0)
-        return eta_feasible(prec, alpha_lo, alpha_hi, gamma=k, sigma=sigma)
-    raise BadRange(f"theorem must be 2, 3, or 4, got {theorem}")
+        ext, disturbance = eig_extremes(P), {}
+    elif theorem == 3:
+        s = _scales(P, cfg.input_span_matrix(), cfg.gain_matrix(), alpha, a)
+        ext = s.ext
+        disturbance = {"gamma": s.k, "sigma": MonomialKInf(coeff=s.lhat / a, power=2.0)}
+    else:
+        raise BadRange(f"theorem must be 2, 3, or 4, got {theorem}")
+    return eta_feasible(
+        cfg.precision(),
+        MonomialKInf(coeff=ext.lambda_min, power=2.0),
+        MonomialKInf(coeff=ext.lambda_max, power=2.0),
+        **disturbance,
+    )
 
 
 def resolve_eta(cfg: ExperimentConfig, theorem: int | None = None) -> tuple[float, float, int]:

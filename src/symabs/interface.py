@@ -37,20 +37,6 @@ class AffineInterface:
         return self.gain.shape[1]
 
 
-def apply_interface(iface: AffineInterface, v, x1, x2) -> np.ndarray:
-    """Concrete input v + G (x1 - x2)."""
-    vv = np.asarray(v, dtype=float)
-    a = np.asarray(x1, dtype=float)
-    b = np.asarray(x2, dtype=float)
-    if a.shape != (iface.state_dim,) or b.shape != (iface.state_dim,):
-        raise DimensionMismatch(
-            f"states must have length {iface.state_dim}, got {a.shape} and {b.shape}"
-        )
-    if vv.shape != (iface.input_dim,):
-        raise DimensionMismatch(f"v must have length {iface.input_dim}, got {vv.shape}")
-    return vv + iface.gain @ (a - b)
-
-
 class AllSpace:
     """Marker for an unconstrained input set."""
 

@@ -1,18 +1,12 @@
 import json
-import math
 
 import numpy as np
 import pytest
 
-from symabs.abstraction import (
-    AugmentedState,
-    initial_pair_check,
-    omega_distance,
-    simulate_augmented,
-)
+from symabs.abstraction import simulate_augmented
 from symabs.config import parse_config
 from symabs.dynamics import PiecewiseConstantSignal, SineSystem
-from symabs.errors import BadRange, DimensionMismatch, Diverged, InputViolation, OutOfDomain
+from symabs.errors import DimensionMismatch, Diverged, InputViolation, OutOfDomain
 from symabs.interface import AffineInterface, BoxInputSet
 from symabs.lattice import LatticeParams, quantize
 from symabs.verify import draw_box_point, draw_signal, trial_rng
@@ -32,22 +26,6 @@ def constant_signal(values, domain_end):
         values=np.array([values], dtype=float),
         domain_end=domain_end,
     )
-
-
-def test_omega_distance():
-    assert omega_distance(AugmentedState(x1=np.array([1.0, 1.0]), x2=np.zeros(2))) == pytest.approx(
-        math.sqrt(2.0), abs=1e-15
-    )
-    assert omega_distance(AugmentedState(x1=np.zeros(3), x2=np.zeros(3))) == 0.0
-    with pytest.raises(DimensionMismatch):
-        omega_distance(AugmentedState(x1=np.zeros(2), x2=np.zeros(3)))
-
-
-def test_initial_pair_check():
-    assert initial_pair_check([0.0, 0.0], [0.15, 0.0], eta=0.15)
-    assert not initial_pair_check([0.0, 0.0], [0.15 + 1e-9, 0.0], eta=0.15)
-    with pytest.raises(BadRange):
-        initial_pair_check([0.0], [0.0], eta=0.0)
 
 
 def test_run_structure_and_invariants():
@@ -126,6 +104,42 @@ def test_input_violation_detection():
         )
 
 
+class CountingSystem:
+    """The demo system, counting its right-hand-side calls."""
+
+    def __init__(self):
+        self.inner = demo_system()
+        self.n = self.inner.n
+        self.input_dim = self.inner.input_dim
+        self.rhs_calls = 0
+
+    def output_matrix(self):
+        return self.inner.output_matrix()
+
+    def rhs(self, x, u):
+        self.rhs_calls += 1
+        return self.inner.rhs(x, u)
+
+
+def test_input_violation_at_sample_zero_skips_integration():
+    params = LatticeParams(n=2, eta=0.15)
+    tight = BoxInputSet(lower=np.array([-1e-9, -1e-9]), upper=np.array([1e-9, 1e-9]))
+    sys_model = CountingSystem()
+    with pytest.raises(InputViolation, match="t = 0$"):
+        simulate_augmented(
+            sys_model, demo_interface(), [0.4, -0.7],
+            constant_signal([0.0, 0.0], 1.0), params, 0.5, 1e-3, input_box=tight,
+        )
+    assert sys_model.rhs_calls == 0
+    # a start on a lattice point has no correction at sample 0 and runs
+    run = simulate_augmented(
+        sys_model, demo_interface(), [0.0, 0.0],
+        constant_signal([0.0, 0.0], 1.0), params, 0.5, 1e-3, input_box=tight,
+    )
+    assert sys_model.rhs_calls == 4 * 500
+    assert np.all(run.u_values == 0.0)
+
+
 def test_dimension_and_domain_errors():
     params = LatticeParams(n=2, eta=0.15)
     sig = constant_signal([0.0, 0.0], 1.0)
@@ -138,11 +152,11 @@ def test_dimension_and_domain_errors():
             demo_system(), demo_interface(), [0.0, 0.0], sig,
             LatticeParams(n=3, eta=0.15), 0.5, 1e-3,
         )
+    wide = AffineInterface(gain=np.zeros((3, 2)))
+    assert wide.input_dim == 3
+    assert wide.state_dim == 2
     with pytest.raises(DimensionMismatch):
-        simulate_augmented(
-            demo_system(), AffineInterface(gain=np.zeros((3, 2))), [0.0, 0.0],
-            sig, params, 0.5, 1e-3,
-        )
+        simulate_augmented(demo_system(), wide, [0.0, 0.0], sig, params, 0.5, 1e-3)
     with pytest.raises(OutOfDomain):
         simulate_augmented(
             demo_system(), demo_interface(), [0.0, 0.0], sig, params, 2.0, 1e-3

@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+from test_abstraction import IQC_DOC
 
 from symabs.cli import main
 from symabs.config import load_config, serialize_config
@@ -44,6 +46,21 @@ def test_eta_bound_prints_value(tmp_path, capsys):
     report = read_report(out)
     assert report["theorem"] == 4
     assert set(report["constants"]) >= {"k", "K1", "lhat_norm", "practical_offset"}
+
+
+@pytest.mark.parametrize("fixture", ["example_sec6", "iqc"])
+def test_theorem4_bound_is_where_the_offset_meets_epsilon(tmp_path, fixture):
+    # (K1 + 1) * eta * ||C|| = epsilon at the theorem-4 radius
+    config = "example_sec6"
+    if fixture == "iqc":
+        config = str(tmp_path / "iqc.json")
+        (tmp_path / "iqc.json").write_text(json.dumps(IQC_DOC))
+    out = tmp_path / "out"
+    assert main(["eta-bound", config, "--theorem", "4", "--out", str(out)]) == 0
+    report = read_report(out)
+    c_norm = np.linalg.norm(load_config(config).output_matrix(), 2)
+    reached = report["eta_bound"] * c_norm * (1.0 + report["constants"]["K1"])
+    assert abs(reached - report["epsilon"]) <= 1e-12 * report["epsilon"]
 
 
 def test_eta_bound_theorem_flag(tmp_path, capsys):

@@ -1,50 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from symabs.errors import BadRange, DimensionMismatch, EmptyResult, NonFinite
 from symabs.interface import (
     ALL_SPACE,
-    AffineInterface,
     BoxInputSet,
-    apply_interface,
     input_margin,
     shrink_box,
 )
-
-
-def test_apply_interface_known_value():
-    iface = AffineInterface(gain=-5.0 * np.eye(2))
-    u = apply_interface(iface, [1.0, 1.0], [0.5, 0.0], [0.3, -0.1])
-    assert u.tolist() == [0.0, 0.5]
-
-
-def test_interface_is_identity_on_diagonal():
-    iface = AffineInterface(gain=np.array([[1.0, -2.0], [0.5, 3.0]]))
-    v = np.array([0.7, -0.2])
-    x = np.array([1.3, 2.1])
-    u = apply_interface(iface, v, x, x)
-    assert np.array_equal(u, v)
-
-
-@given(seed=st.integers(min_value=0, max_value=2**31 - 1))
-def test_interface_zero_gain_passthrough(seed):
-    rng = np.random.default_rng(seed)
-    iface = AffineInterface(gain=np.zeros((2, 3)))
-    v = rng.normal(size=2)
-    u = apply_interface(iface, v, rng.normal(size=3), rng.normal(size=3))
-    assert np.array_equal(u, v)
-
-
-def test_apply_interface_dimension_checks():
-    iface = AffineInterface(gain=np.zeros((2, 3)))
-    assert iface.input_dim == 2
-    assert iface.state_dim == 3
-    with pytest.raises(DimensionMismatch):
-        apply_interface(iface, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0])
-    with pytest.raises(DimensionMismatch):
-        apply_interface(iface, [0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0])
 
 
 def test_margin_on_demo_numbers():
