@@ -10,11 +10,11 @@ reference.
 
 import argparse
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 
-from symabs.certificates import eta_bound_closed_form
 from symabs.config import load_config, theorem_eta_bound
 
 
@@ -25,16 +25,12 @@ def main():
     args = ap.parse_args()
 
     cfg = load_config("example_sec6")
-    P = np.array(cfg.P)
-    L = cfg.gain_matrix()
-    B = np.eye(2)
-    C = np.eye(2)
+
+    def closed_form(a):
+        return theorem_eta_bound(dataclasses.replace(cfg, a=float(a)), 4)
 
     grid = np.linspace(0.1, 2.0 * cfg.alpha - 0.1, args.points)
-    bounds = [
-        eta_bound_closed_form(P=P, B=B, L=L, C_out=C, alpha=cfg.alpha, a=a, epsilon=cfg.epsilon)
-        for a in grid
-    ]
+    bounds = [closed_form(a) for a in grid]
     best = int(np.argmax(bounds))
 
     out = Path(args.out)
@@ -47,8 +43,7 @@ def main():
 
     print(f"swept a over ({grid[0]:.2f}, {grid[-1]:.2f}) in {args.points} points")
     print(f"max radius {bounds[best]:.6f} at a = {grid[best]:.4f} (alpha = {cfg.alpha})")
-    print(f"radius at the demo's a = alpha: "
-          f"{eta_bound_closed_form(P=P, B=B, L=L, C_out=C, alpha=cfg.alpha, a=cfg.alpha, epsilon=cfg.epsilon):.6f}")
+    print(f"radius at the demo's a = alpha: {closed_form(cfg.alpha):.6f}")
     print(f"comparison-function bound, no disturbance: {theorem_eta_bound(cfg, 2):.6f}")
     print(f"comparison-function bound, with disturbance: {theorem_eta_bound(cfg, 3):.6f}")
     print(f"curve -> {out}")

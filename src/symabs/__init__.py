@@ -28,7 +28,7 @@ from .dynamics import (
 )
 from .errors import SymabsError
 from .interface import ALL_SPACE, AffineInterface, BoxInputSet, input_margin, shrink_box
-from .lattice import LatticeParams, LatticePoint, quantize, quantize_batch
+from .lattice import LatticeParams, quantize_batch
 from .numerics import eig_extremes, nsd_check, spectral_norm
 from .verify import (
     eps_close,
@@ -49,7 +49,6 @@ __all__ = [
     "IqcCertificate",
     "IqcSystem",
     "LatticeParams",
-    "LatticePoint",
     "MonomialKInf",
     "PiecewiseConstantSignal",
     "PrecisionSpec",
@@ -75,7 +74,6 @@ __all__ = [
     "max_feasible_alpha_sine",
     "nsd_check",
     "parse_config",
-    "quantize",
     "quantize_batch",
     "resolve_eta",
     "rk4_step",

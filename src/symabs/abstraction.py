@@ -30,11 +30,11 @@ from .dynamics import (
     PiecewiseConstantSignal,
     SystemModel,
     _diverged,
-    _steps_on_grid,
+    _grid_values,
     _vector,
     rk4_step,
 )
-from .errors import DimensionMismatch, Diverged, InputViolation, OutOfDomain
+from .errors import DimensionMismatch, Diverged, InputViolation
 from .interface import ALL_SPACE, AffineInterface, InputSet
 from .lattice import LatticeParams, _snap
 
@@ -114,22 +114,19 @@ def simulate_augmented(
         raise DimensionMismatch(
             f"interface gain is {iface.gain.shape}, system wants ({sys.input_dim}, {sys.n})"
         )
-    for sig in signals:
-        if sig.dim != sys.input_dim:
-            raise DimensionMismatch(f"signal dimension {sig.dim} != input dimension {sys.input_dim}")
-    n_steps = _steps_on_grid(horizon, h)
-    if horizon > min(sig.domain_end for sig in signals) * (1.0 + 1e-9):
-        raise OutOfDomain("horizon extends past the signal domain")
-    v_values = np.stack([sig.step_values(h, n_steps) for sig in signals])
+    v_values = _grid_values(sys, signals, horizon, h)
+    n_steps = v_values.shape[1] - 1
     spacing = params.spacing
-    gain_t = iface.gain.T
+
+    def snap(phi):  # x2 = Q(phi)
+        return _snap(phi, spacing) * spacing
 
     T, n = x1.shape
     states = np.empty((2 * T, n_steps + 1, n))
     x1_states, phi_states = states[:T], states[T:]
     # Rows 0..T-1 of z are the concrete states, rows T..2T-1 the nominal
     # ones; the nominal rows are driven by v alone.
-    z = np.concatenate([x1, _snap(x1, spacing) * spacing])
+    z = np.concatenate([x1, snap(x1)])
     states[:, 0] = z
     u = np.empty((2 * T, sys.input_dim))
     # No trial's norm can exceed the limit while every entry is below this.
@@ -137,11 +134,11 @@ def simulate_augmented(
 
     def inputs(k: int, stop: int):
         """x2 and u of trial k at samples 0..stop-1."""
-        x2k = _snap(phi_states[k, :stop], spacing) * spacing
-        return x2k, v_values[k, :stop] + (x1_states[k, :stop] - x2k) @ gain_t
+        x2k = snap(phi_states[k, :stop])
+        return x2k, iface.apply(v_values[k, :stop], x1_states[k, :stop], x2k)
 
     def coupled(z):
-        u[:T] = v_i + (z[:T] - x2) @ gain_t
+        u[:T] = iface.apply(v_i, z[:T], x2)
         return sys.rhs(z, u)
 
     # An exit at sample 0 precedes any divergence, so a single run that
@@ -150,7 +147,7 @@ def simulate_augmented(
         raise _input_violation(0, h)
 
     for i in range(n_steps):
-        x2 = _snap(z[T:], spacing) * spacing
+        x2 = snap(z[T:])
         v_i = v_values[:, i]
         u[T:] = v_i
         z = rk4_step(coupled, z, h)

@@ -194,30 +194,36 @@ def check_lmi_iqc(cert: IqcCertificate, sys: IqcSystem, tol: float = DEFAULT_TOL
     return nsd_check(assemble_lmi_iqc(cert, sys), tol)
 
 
-def _alpha_boundary(
-    assemble: Callable[[float], np.ndarray],
-    tol: float,
-    bisect_tol: float,
-    alpha_cap: float,
+def _largest_holding(
+    holds: Callable[[float], bool], tol: float, cap: float, infeasible_msg: str, unbounded_msg: str
 ) -> float:
-    def holds(alpha: float) -> bool:
-        return nsd_check(assemble(alpha), tol).holds
-
-    lo = bisect_tol
+    """Threshold, to within ``tol``, of a condition that holds below it:
+    double an upper bracket until ``holds`` fails, then bisect."""
+    lo = tol
     if not holds(lo):
-        raise Infeasible("inequality infeasible for every positive alpha")
+        raise Infeasible(infeasible_msg)
     hi = max(1.0, 4.0 * lo)
     while holds(hi):
         hi *= 2.0
-        if hi > alpha_cap:
-            raise BadRange(f"feasibility did not break below alpha = {alpha_cap:g}")
-    while hi - lo > bisect_tol:
+        if hi > cap:
+            raise BadRange(unbounded_msg)
+    while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if holds(mid):
             lo = mid
         else:
             hi = mid
     return lo
+
+
+def _alpha_boundary(
+    assemble: Callable[[float], np.ndarray], tol: float, bisect_tol: float, alpha_cap: float
+) -> float:
+    return _largest_holding(
+        lambda alpha: nsd_check(assemble(alpha), tol).holds, bisect_tol, alpha_cap,
+        "inequality infeasible for every positive alpha",
+        f"feasibility did not break below alpha = {alpha_cap:g}",
+    )
 
 
 def max_feasible_alpha_sine(
@@ -463,18 +469,8 @@ def eta_feasible(
 
     if not (math.isfinite(tol) and tol > 0.0):
         raise BadRange(f"tol must be finite and positive, got {tol}")
-    lo = tol
-    if not admissible(lo):
-        raise Infeasible("no lattice radius above tol satisfies the condition")
-    hi = max(1.0, 4.0 * lo)
-    while admissible(hi):
-        hi *= 2.0
-        if hi > 1e30:
-            raise BadRange("feasibility did not break; condition appears unbounded")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if admissible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _largest_holding(
+        admissible, tol, 1e30,
+        "no lattice radius above tol satisfies the condition",
+        "feasibility did not break; condition appears unbounded",
+    )

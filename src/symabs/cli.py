@@ -25,7 +25,7 @@ from .certificates import (
     max_feasible_alpha_iqc,
     max_feasible_alpha_sine,
 )
-from .config import ExperimentConfig, load_config, resolve_eta
+from .config import ExperimentConfig, load_config, parse_config, resolve_eta, serialize_config
 from .errors import (
     BadRange,
     DimensionMismatch,
@@ -370,7 +370,10 @@ def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
         updates["step"] = args.step
     if args.horizon is not None:
         updates["horizon"] = args.horizon
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    if not updates:
+        return cfg
+    # A round trip through the schema checks flag values as it checks a file's.
+    return parse_config(serialize_config(dataclasses.replace(cfg, **updates)))
 
 
 def main(argv=None) -> int:

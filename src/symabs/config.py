@@ -147,16 +147,11 @@ class ExperimentConfig:
             return np.eye(len(self.A))
         return np.array(self.B)
 
-    def output_matrix(self) -> np.ndarray:
-        if self.family == "sine":
-            return np.eye(len(self.A))
-        return np.array(self.C)
-
     def young_parameter(self) -> float:
         return self.alpha if self.a is None else self.a
 
     def precision(self) -> PrecisionSpec:
-        return PrecisionSpec(epsilon=self.epsilon, rho=spectral_norm(self.output_matrix()))
+        return PrecisionSpec(epsilon=self.epsilon, rho=spectral_norm(self.system().output_matrix()))
 
     def input_set(self) -> InputSet:
         if self.input_lower is None:
@@ -486,7 +481,7 @@ def theorem_eta_bound(cfg: ExperimentConfig, theorem: int) -> float:
             P=P,
             B=cfg.input_span_matrix(),
             L=cfg.gain_matrix(),
-            C_out=cfg.output_matrix(),
+            C_out=cfg.system().output_matrix(),
             alpha=alpha,
             a=a,
             epsilon=cfg.epsilon,

@@ -11,9 +11,10 @@ state.  ``IqcSystem`` is the feedback-interconnection form
 
 where ``p`` is a static nonlinearity.  Both right-hand sides take one
 state or a stack of states as rows, so a batch of runs is stepped with
-one call.  Integration uses a fixed-step classic Runge-Kutta scheme;
-inputs are piecewise constant with breakpoints aligned to the step
-grid, so the right-hand side is autonomous within every step.
+one call; ``output_matrix()`` is each family's output map.  Integration
+uses a fixed-step classic Runge-Kutta scheme; inputs are piecewise
+constant with breakpoints on the step grid, checked and sampled by
+``_grid_values``, so the right-hand side is autonomous within every step.
 """
 
 from __future__ import annotations
@@ -64,19 +65,12 @@ class SineSystem:
     def input_dim(self) -> int:
         return self.n
 
-    @property
-    def output_dim(self) -> int:
-        return self.n
-
     def output_matrix(self) -> np.ndarray:
         return np.eye(self.n)
 
     def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Vector field at ``x`` under ``u``: vectors, or matching rows."""
         return x @ self.A.T + self.m_gain * np.sin(x) + u
-
-    def output(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -131,10 +125,6 @@ class IqcSystem:
         return self.B.shape[1]
 
     @property
-    def output_dim(self) -> int:
-        return self.C.shape[0]
-
-    @property
     def l_p(self) -> int:
         return self.C_q.shape[0]
 
@@ -172,9 +162,6 @@ class IqcSystem:
     def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Vector field at ``x`` under ``u``: vectors, or matching rows."""
         return x @ self.A.T + u @ self.B.T + self._loop_value(x) @ self.E.T
-
-    def output(self, x: np.ndarray) -> np.ndarray:
-        return self.C @ np.asarray(x, dtype=float)
 
 
 SystemModel = SineSystem | IqcSystem
@@ -219,12 +206,6 @@ class PiecewiseConstantSignal:
     @property
     def dim(self) -> int:
         return self.values.shape[1]
-
-    def eval(self, t: float) -> np.ndarray:
-        if not (0.0 <= t < self.domain_end):
-            raise OutOfDomain(f"t={t} outside [0, {self.domain_end})")
-        idx = int(np.searchsorted(self.breakpoints, t, side="right")) - 1
-        return self.values[idx]
 
     def _break_steps(self, h: float) -> np.ndarray:
         # Integer step index of every breakpoint; rejects off-grid ones.
@@ -285,9 +266,15 @@ def _diverged(x: np.ndarray) -> np.ndarray:
         return ~(_norms(x) <= DIVERGENCE_LIMIT)
 
 
-def _guard_state(x: np.ndarray) -> None:
-    if _diverged(x):
-        raise Diverged(f"state norm exceeded {DIVERGENCE_LIMIT:g}")
+def _grid_values(sys: SystemModel, signals, horizon: float, h: float) -> np.ndarray:
+    """Checked (signals, steps + 1, inputs) values on the grid 0, h, ..., horizon."""
+    for sig in signals:
+        if sig.dim != sys.input_dim:
+            raise DimensionMismatch(f"signal dimension {sig.dim} != input dimension {sys.input_dim}")
+    n_steps = _steps_on_grid(horizon, h)
+    if horizon > min(sig.domain_end for sig in signals) * (1.0 + _ALIGN_RTOL):
+        raise OutOfDomain("horizon extends past the signal domain")
+    return np.stack([sig.step_values(h, n_steps) for sig in signals])
 
 
 def integrate_rk4(
@@ -299,18 +286,15 @@ def integrate_rk4(
 ) -> Trajectory:
     """Integrate ``sys`` under ``u`` from 0 to ``horizon`` with fixed step ``h``."""
     x = _vector(x0, sys.n, "x0")
-    if u.dim != sys.input_dim:
-        raise DimensionMismatch(f"signal dimension {u.dim} != input dimension {sys.input_dim}")
-    n_steps = _steps_on_grid(horizon, h)
-    if horizon > u.domain_end * (1.0 + _ALIGN_RTOL):
-        raise OutOfDomain("horizon extends past the signal domain")
-    vals = u.step_values(h, n_steps)
+    vals = _grid_values(sys, [u], horizon, h)[0]
+    n_steps = vals.shape[0] - 1
     states = np.empty((n_steps + 1, sys.n))
     states[0] = x
     for i in range(n_steps):
         ui = vals[i]
         x = rk4_step(lambda z: sys.rhs(z, ui), x, h)
-        _guard_state(x)
+        if _diverged(x):
+            raise Diverged(f"state norm exceeded {DIVERGENCE_LIMIT:g}")
         states[i + 1] = x
     times = np.arange(n_steps + 1) * h
     return Trajectory(times=times, states=states, step=h)

@@ -5,9 +5,9 @@ The interface turns an abstract input ``v`` into a concrete one,
     u = v + G (x1 - x2),
 
 where ``x1`` is the concrete state and ``x2`` the quantized abstract
-state.  Because the correction term is bounded along certified runs,
-drawing ``v`` from a box shrunk by that bound keeps ``u`` inside the
-original input set.
+state (``AffineInterface.apply``, for one point or rows).  Because the
+correction term is bounded along certified runs, drawing ``v`` from a
+box shrunk by that bound keeps ``u`` inside the original input set.
 """
 
 from __future__ import annotations
@@ -35,6 +35,10 @@ class AffineInterface:
     @property
     def state_dim(self) -> int:
         return self.gain.shape[1]
+
+    def apply(self, v: np.ndarray, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """Concrete input ``v + G (x1 - x2)``: vectors, or matching rows."""
+        return v + (x1 - x2) @ self.gain.T
 
 
 class AllSpace:

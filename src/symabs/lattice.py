@@ -3,7 +3,8 @@
 A lattice of radius ``eta`` in dimension ``n`` spaces points ``2*eta/sqrt(n)``
 apart on every axis.  Snapping each coordinate to the nearest multiple keeps
 each axis error within ``eta/sqrt(n)``, hence the Euclidean error within
-``eta``.
+``eta``.  ``quantize_batch`` is the one public quantizer; the simulator
+calls its unchecked kernel ``_snap`` directly, once per RK4 step.
 """
 
 from __future__ import annotations
@@ -35,12 +36,6 @@ class LatticeParams:
         return 2.0 * self.eta / math.sqrt(self.n)
 
 
-@dataclass(frozen=True)
-class LatticePoint:
-    indices: np.ndarray
-    coordinates: np.ndarray
-
-
 def _snap(x: np.ndarray, spacing: float) -> np.ndarray:
     """Nearest lattice multiples of ``spacing``, ties away from zero.
 
@@ -64,11 +59,3 @@ def quantize_batch(points, params: LatticeParams) -> tuple[np.ndarray, np.ndarra
         raise Overflow("lattice index exceeds the 64-bit integer range")
     return k.astype(np.int64), k * params.spacing
 
-
-def quantize(x, params: LatticeParams) -> LatticePoint:
-    """Nearest lattice point to ``x``; ties break away from zero."""
-    vec = np.asarray(x, dtype=float)
-    if vec.ndim != 1 or vec.shape[0] != params.n:
-        raise DimensionMismatch(f"expected a vector of length {params.n}, got shape {vec.shape}")
-    indices, coords = quantize_batch(vec[None, :], params)
-    return LatticePoint(indices=indices[0], coordinates=coords[0])

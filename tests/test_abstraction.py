@@ -5,10 +5,10 @@ import pytest
 
 from symabs.abstraction import simulate_augmented
 from symabs.config import parse_config
-from symabs.dynamics import PiecewiseConstantSignal, SineSystem
+from symabs.dynamics import PiecewiseConstantSignal, SineSystem, integrate_rk4
 from symabs.errors import DimensionMismatch, Diverged, InputViolation, OutOfDomain
 from symabs.interface import AffineInterface, BoxInputSet
-from symabs.lattice import LatticeParams, quantize
+from symabs.lattice import LatticeParams, quantize_batch
 from symabs.verify import draw_box_point, draw_signal, trial_rng
 
 
@@ -40,9 +40,7 @@ def test_run_structure_and_invariants():
     assert run.times[-1] == pytest.approx(0.5, abs=1e-12)
 
     # the recorded abstract state is exactly the quantized phi
-    for i in (0, 123, n_samples - 1):
-        q = quantize(run.phi_states[i], params)
-        assert np.array_equal(run.x2_states[i], q.coordinates)
+    assert np.array_equal(run.x2_states, quantize_batch(run.phi_states, params)[1])
 
     # the recorded input is exactly the interface formula
     gain = demo_interface().gain
@@ -50,8 +48,8 @@ def test_run_structure_and_invariants():
     assert np.array_equal(run.u_values, expected_u)
 
     # phi starts at the quantized initial state
-    q0 = quantize(np.array([0.4, -0.7]), params)
-    assert np.array_equal(run.phi_states[0], q0.coordinates)
+    _, q0 = quantize_batch([[0.4, -0.7]], params)
+    assert np.array_equal(run.phi_states[0], q0[0])
 
     # output gap column is the recorded norm (output map is identity)
     ref = np.linalg.norm(run.x1_states - run.x2_states, axis=1)
@@ -67,8 +65,8 @@ def test_zero_horizon_reduces_to_quantization():
     )
     assert run.times.shape == (1,)
     assert run.y_err[0] <= 0.15
-    q0 = quantize(np.array(x0), params)
-    assert np.array_equal(run.x2_states[0], q0.coordinates)
+    _, q0 = quantize_batch([x0], params)
+    assert np.array_equal(run.x2_states[0], q0[0])
 
 
 def test_equilibrium_run_stays_at_origin():
@@ -254,6 +252,40 @@ def test_batch_matches_single_runs_iqc_implicit_loop():
             sys_model, cfg.interface(), starts[k], signals[k], params, 1.0, 1e-3, input_box=box
         )
         assert_trial_matches(batch, k, single)
+
+
+def test_uncoupled_concrete_rows_match_integrate_rk4():
+    # With G = 0 the concrete state is driven by v alone, so the plain
+    # RK4 loop is an oracle for the concrete rows of the batched loop.
+    params = LatticeParams(n=2, eta=0.15)
+    starts = np.array([[0.4, -0.7], [0.9, 0.9], [-0.3, 0.25]])
+    signals = [
+        two_segment_signal([0.3, -0.1], [-0.5, 0.2]),
+        two_segment_signal([0.4, -0.4], [0.0, 0.0]),
+        two_segment_signal([-1.0, 1.0], [1.5, -0.5]),
+    ]
+    uncoupled = AffineInterface(gain=np.zeros((2, 2)))
+    batch = simulate_augmented(demo_system(), uncoupled, starts, signals, params, 1.0, 1e-3)
+    for k in range(3):
+        ref = integrate_rk4(demo_system(), starts[k], signals[k], 1.0, 1e-3)
+        assert np.array_equal(batch.x1_states[k], ref.states)
+
+    cfg = parse_config(json.dumps(IQC_DOC))
+    sys_model = cfg.system()
+    abstract_box = BoxInputSet(lower=np.array([-1.5, -1.5]), upper=np.array([1.5, 1.5]))
+    starts, signals = [], []
+    for k in range(3):
+        rng = trial_rng(0, k)
+        starts.append(draw_box_point(rng, cfg.initial_box()))
+        signals.append(draw_signal(rng, abstract_box, 0.25, 1.0))
+    uncoupled = AffineInterface(gain=np.zeros((sys_model.input_dim, sys_model.n)))
+    batch = simulate_augmented(
+        sys_model, uncoupled, np.array(starts), signals, cfg.lattice_params(0.05), 1.0, 1e-3
+    )
+    for k in range(3):
+        want = integrate_rk4(sys_model, starts[k], signals[k], 1.0, 1e-3).states
+        got = batch.x1_states[k]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
 
 def test_batch_isolates_a_trial_that_leaves_the_input_box():

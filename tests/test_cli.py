@@ -58,7 +58,7 @@ def test_theorem4_bound_is_where_the_offset_meets_epsilon(tmp_path, fixture):
     out = tmp_path / "out"
     assert main(["eta-bound", config, "--theorem", "4", "--out", str(out)]) == 0
     report = read_report(out)
-    c_norm = np.linalg.norm(load_config(config).output_matrix(), 2)
+    c_norm = np.linalg.norm(load_config(config).system().output_matrix(), 2)
     reached = report["eta_bound"] * c_norm * (1.0 + report["constants"]["K1"])
     assert abs(reached - report["epsilon"]) <= 1e-12 * report["epsilon"]
 
@@ -161,6 +161,26 @@ def test_config_error_exit_codes(tmp_path):
 
     cfg = write_config(tmp_path, lambda d: d["precision"].pop("epsilon"))
     assert main(["certify", cfg, "--out", str(tmp_path / "o3")]) == 2
+
+
+@pytest.mark.parametrize(
+    "flag, value, field",
+    [
+        ("--seed", str(2**64), "seed"),
+        ("--seed", "-1", "seed"),
+        ("--step", "0", "step"),
+        ("--step", "nan", "step"),
+        ("--horizon", "-1", "horizon"),
+        ("--horizon", "inf", "horizon"),
+        ("--trials", "0", "trials"),
+    ],
+)
+def test_bad_flag_is_a_config_error(tmp_path, capsys, flag, value, field):
+    # a flag passes the same schema as the config file it overrides
+    out = tmp_path / "out"
+    assert main(["verify", "example_sec6", flag, value, "--out", str(out)]) == 2
+    assert f"simulation.{field}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_runtime_error_exit_code(tmp_path):

@@ -69,7 +69,6 @@ def test_sine_rhs_known_value():
     # A x = (0.15*pi/2, 0); sin(x) = (1, 0)
     assert out[0] == pytest.approx(0.15 * math.pi / 2.0 + 2.0 + 1.0, abs=1e-15)
     assert out[1] == pytest.approx(-1.0, abs=0.0)
-    assert sys.output(x) is not None
     assert np.array_equal(sys.output_matrix(), np.eye(2))
 
 
@@ -77,7 +76,7 @@ def test_sine_system_dimensions():
     sys = SineSystem(A=np.zeros((3, 3)), m_gain=1.0)
     assert sys.n == 3
     assert sys.input_dim == 3
-    assert sys.output_dim == 3
+    assert sys.output_matrix().shape == (3, 3)
     with pytest.raises(DimensionMismatch):
         SineSystem(A=np.zeros((2, 3)), m_gain=1.0)
 
@@ -96,7 +95,7 @@ def test_iqc_explicit_loop_matches_manual():
     u = np.array([0.1])
     expected = -0.3 + 0.1 + 0.5 * math.tanh(0.6)
     assert sys.rhs(x, u)[0] == pytest.approx(expected, abs=1e-15)
-    assert sys.output(x)[0] == 0.3
+    assert (sys.output_matrix() @ x)[0] == 0.3
 
 
 def test_iqc_implicit_loop_fixed_point():
@@ -141,7 +140,7 @@ def test_iqc_dimension_validation():
         p=np.tanh,
     )
     sys = IqcSystem(**good)
-    assert (sys.n, sys.input_dim, sys.output_dim, sys.l_p, sys.l_e) == (2, 1, 1, 1, 1)
+    assert (sys.n, sys.input_dim, sys.output_matrix().shape[0], sys.l_p, sys.l_e) == (2, 1, 1, 1, 1)
     for key, bad in [
         ("B", np.zeros((3, 1))),
         ("C", np.zeros((1, 3))),
@@ -161,14 +160,16 @@ def test_signal_evaluation_right_continuous():
         values=np.array([[0.0], [1.0], [2.0]]),
         domain_end=3.0,
     )
-    assert sig.eval(0.0)[0] == 0.0
-    assert sig.eval(0.999)[0] == 0.0
-    assert sig.eval(1.0)[0] == 1.0
-    assert sig.eval(2.5)[0] == 2.0
+    vals = sig.step_values(1e-3, 3000)[:, 0]
+    assert (vals[0], vals[999], vals[1000], vals[2500]) == (0.0, 0.0, 1.0, 2.0)
+    # the sample at domain_end reuses the last segment
+    assert vals[3000] == 2.0
+    # integration checks the horizon against [0, domain_end]
+    sys = SineSystem(A=np.zeros((1, 1)), m_gain=0.0)
     with pytest.raises(OutOfDomain):
-        sig.eval(3.0)
+        integrate_rk4(sys, [0.0], sig, 3.5, 0.5)
     with pytest.raises(OutOfDomain):
-        sig.eval(-0.1)
+        integrate_rk4(sys, [0.0], sig, -0.5, 0.5)
 
 
 def test_signal_validation():

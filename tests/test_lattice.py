@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from symabs.errors import BadRange, DimensionMismatch, NonFinite, Overflow
-from symabs.lattice import LatticeParams, quantize, quantize_batch
+from symabs.lattice import LatticeParams, quantize_batch
 
 
 def nearest_multiple(x, spacing):
@@ -28,25 +28,24 @@ def test_quantize_known_point():
     spacing = params.spacing
     assert nearest_multiple(0.12, spacing) == 1.0
     assert nearest_multiple(-0.25, spacing) == -1.0
-    point = quantize([0.12, -0.25], params)
-    assert point.indices.tolist() == [1, -1]
-    assert point.coordinates.tolist() == [spacing, -spacing]
+    indices, coords = quantize_batch([[0.12, -0.25]], params)
+    assert indices.tolist() == [[1, -1]]
+    assert coords.tolist() == [[spacing, -spacing]]
 
 
 def test_tie_breaks_away_from_zero():
     # n=1 makes spacing = 2*eta; the half-point 0.25 is exactly
     # representable, so the tie is genuine.
     params = LatticeParams(n=1, eta=0.25)
-    assert quantize([0.25], params).indices.tolist() == [1]
-    assert quantize([-0.25], params).indices.tolist() == [-1]
-    assert quantize([0.75], params).indices.tolist() == [2]
+    indices, _ = quantize_batch([[0.25], [-0.25], [0.75]], params)
+    assert indices[:, 0].tolist() == [1, -1, 2]
 
 
 def test_origin_is_fixed():
     params = LatticeParams(n=3, eta=0.7)
-    point = quantize([0.0, 0.0, 0.0], params)
-    assert point.indices.tolist() == [0, 0, 0]
-    assert point.coordinates.tolist() == [0.0, 0.0, 0.0]
+    indices, coords = quantize_batch([[0.0, 0.0, 0.0]], params)
+    assert indices.tolist() == [[0, 0, 0]]
+    assert coords.tolist() == [[0.0, 0.0, 0.0]]
 
 
 @given(
@@ -69,11 +68,11 @@ def test_quantization_error_within_radius(n, eta, seed):
 def test_quantize_idempotent(n, seed):
     rng = np.random.default_rng(seed)
     params = LatticeParams(n=n, eta=0.3)
-    x = rng.uniform(-10.0, 10.0, size=n)
-    once = quantize(x, params)
-    twice = quantize(once.coordinates, params)
-    assert np.array_equal(once.indices, twice.indices)
-    assert np.array_equal(once.coordinates, twice.coordinates)
+    x = rng.uniform(-10.0, 10.0, size=(1, n))
+    once = quantize_batch(x, params)
+    twice = quantize_batch(once[1], params)
+    assert np.array_equal(once[0], twice[0])
+    assert np.array_equal(once[1], twice[1])
 
 
 def test_batch_matches_single():
@@ -81,9 +80,11 @@ def test_batch_matches_single():
     pts = np.array([[0.12, -0.25], [1.0, 1.0], [-0.3, 0.49]])
     indices, coords = quantize_batch(pts, params)
     for row in range(pts.shape[0]):
-        single = quantize(pts[row], params)
-        assert np.array_equal(indices[row], single.indices)
-        assert np.array_equal(coords[row], single.coordinates)
+        single = quantize_batch(pts[row : row + 1], params)
+        assert np.array_equal(indices[row], single[0][0])
+        assert np.array_equal(coords[row], single[1][0])
+        ref = [nearest_multiple(x, params.spacing) for x in pts[row]]
+        assert indices[row].tolist() == ref
 
 
 def test_indices_are_int64():
@@ -95,19 +96,19 @@ def test_indices_are_int64():
 def test_overflow_detected():
     params = LatticeParams(n=1, eta=1e-6)
     with pytest.raises(Overflow):
-        quantize([1e300], params)
+        quantize_batch([[1e300]], params)
 
 
 def test_rejects_non_finite_points():
     params = LatticeParams(n=2, eta=0.1)
     with pytest.raises(NonFinite):
-        quantize([np.nan, 0.0], params)
+        quantize_batch([[np.nan, 0.0]], params)
 
 
 def test_rejects_wrong_dimension():
     params = LatticeParams(n=2, eta=0.1)
     with pytest.raises(DimensionMismatch):
-        quantize([1.0, 2.0, 3.0], params)
+        quantize_batch([1.0, 2.0], params)
     with pytest.raises(DimensionMismatch):
         quantize_batch(np.zeros((4, 3)), params)
 
