@@ -380,6 +380,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        if not (np.isfinite(args.tol) and args.tol >= 0.0):
+            raise SchemaError([f"--tol: expected a finite nonnegative number, got {args.tol}"])
         cfg = _apply_overrides(load_config(args.config), args)
         code, report = _COMMANDS[args.command](cfg, args)
     except _CONFIG_ERRORS as exc:

@@ -37,6 +37,11 @@ DIVERGENCE_LIMIT = 1e12
 
 _ALIGN_RTOL = 1e-9
 
+# Fixed-point loop of IqcSystem: at most _MAX_ITERATES evaluations of p,
+# with the convergence test on every _CHECK_EVERY-th one.
+_MAX_ITERATES = 100
+_CHECK_EVERY = 3
+
 
 def _vector(x, length: int, name: str) -> np.ndarray:
     v = np.asarray(x, dtype=float)
@@ -79,8 +84,14 @@ class IqcSystem:
 
     ``p`` maps a vector of length ``l_p`` to one of length ``l_e``.  A
     nonzero ``D_q`` makes the nonlinearity argument implicit; it is then
-    resolved by fixed-point iteration, which requires the loop to be a
-    contraction.
+    resolved by the fixed-point iteration ``w <- p(q + D_q w)`` from
+    ``w = 0``, which requires the loop to be a contraction.  Every third
+    iterate a row is tested for ``||w_next - w|| <= 1e-12 (1 + ||w_next||)``
+    and, at the first test it passes, stops with ``w_next``; so a row of a
+    stack runs as many iterates as it would on its own (its bits may still
+    differ in the last place, as BLAS rounds a stacked ``x @ C_q.T``
+    differently).  ``Diverged`` is raised when a row has not passed within
+    100 iterates.
     """
 
     A: np.ndarray
@@ -137,27 +148,34 @@ class IqcSystem:
 
     def _loop_value(self, x: np.ndarray) -> np.ndarray:
         q = x @ self.C_q.T
-        if not np.any(self.D_q):
-            w = np.asarray(self.p(q), dtype=float)
-        else:
-            # Each row stops iterating once it converges, so a row of a
-            # stack gets the same iterate as the row on its own.
-            w = np.zeros(q.shape[:-1] + (self.l_e,))
-            active = np.ones(q.shape[:-1], dtype=bool)
-            for _ in range(100):
-                w_next = np.asarray(self.p(q + w @ self.D_q.T), dtype=float)
-                done = _norms(w_next - w) <= 1e-12 * (1.0 + _norms(w_next))
-                w = np.where(active[..., None], w_next, w)
-                active &= ~done
-                if not np.count_nonzero(active):
-                    break
-            else:
-                raise Diverged("implicit nonlinearity loop did not converge")
+        p = self.p
+        # The first iterate from w = 0 is p(q); its shape is checked before
+        # the iteration, where broadcasting would hide a wrong one.
+        w = np.asarray(p(q), dtype=float)
         if w.shape != q.shape[:-1] + (self.l_e,):
             raise DimensionMismatch(
                 f"nonlinearity returned shape {w.shape}, expected ({self.l_e},)"
             )
-        return w
+        if not np.any(self.D_q) or not w.size:
+            return w
+        # All rows are iterated together.  The per-row test runs on every
+        # _CHECK_EVERY-th iterate only, since it costs several times the
+        # map; a row's result is the iterate at the first test it passes,
+        # so its stopping iterate depends on that row alone.
+        d_q_t = self.D_q.T
+        out = np.empty_like(w)
+        pending = np.ones(q.shape[:-1], dtype=bool)
+        for k in range(2, _MAX_ITERATES + 1):
+            w_next = np.asarray(p(q + w @ d_q_t), dtype=float)
+            if k % _CHECK_EVERY == 0:
+                done = pending & (_norms(w_next - w) <= 1e-12 * (1.0 + _norms(w_next)))
+                if done.any():
+                    np.copyto(out, w_next, where=done[..., None])
+                    pending &= ~done
+                    if not pending.any():
+                        return out
+            w = w_next
+        raise Diverged("implicit nonlinearity loop did not converge")
 
     def rhs(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Vector field at ``x`` under ``u``: vectors, or matching rows."""

@@ -183,6 +183,31 @@ def test_bad_flag_is_a_config_error(tmp_path, capsys, flag, value, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_bad_tol_is_a_config_error(tmp_path, capsys, value):
+    out = tmp_path / "out"
+    code = main(["verify", "example_sec6", "--tol", value, "--trials", "2", "--horizon", "0.1",
+                 "--out", str(out)])
+    assert code == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d_q", [[[0.0, 0.0]], [[0.0, 0.15]]], ids=["explicit", "implicit"])
+def test_wrong_nonlinearity_shape_is_a_config_error(tmp_path, capsys, d_q):
+    # one nonlinearity channel (C_q is 1x4) feeding two (E has two columns):
+    # tanh returns one value per row where the loop needs two
+    doc = json.loads(json.dumps(IQC_DOC))
+    doc["system"]["C_q"] = [[0.25, 0.0, 0.0, 0.15]]
+    doc["system"]["D_q"] = d_q
+    path = tmp_path / "iqc.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    code = main(["verify", str(path), "--trials", "2", "--horizon", "0.1", "--out", str(out)])
+    assert code == 2
+    assert "nonlinearity returned shape" in capsys.readouterr().err
+
+
 def test_runtime_error_exit_code(tmp_path):
     # dwell 0.5 does not land on a 0.3 step grid
     code = main(

@@ -1,7 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from test_abstraction import IQC_DOC
 
 from symabs.dynamics import (
     IqcSystem,
@@ -127,6 +131,38 @@ def test_iqc_implicit_loop_divergence():
     )
     with pytest.raises(Diverged):
         sys.rhs(np.array([1.0]), np.array([0.0]))
+
+
+# Corners of the IQC fixture's initial box [-1, 1]^4, the same corners at
+# three times the box, and the origin.
+IQC_ROWS = np.array(
+    [(0.0,) * 4] + [c for s in (1.0, 3.0) for c in itertools.product((-s, s), repeat=4)]
+)
+
+
+def iqc_fixture_system(d_q, p):
+    m = {k: np.array(IQC_DOC["system"][k]) for k in ("A", "B", "C", "E", "C_q")}
+    return IqcSystem(D_q=d_q, p=p, **m)
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+    gain=st.floats(min_value=0.0, max_value=0.5),
+    p=st.sampled_from([np.tanh, np.sin]),
+)
+def test_iqc_implicit_loop_contract_on_stacks(seed, gain, p):
+    # |p'| <= 1 and ||D_q||_2 <= 0.5, so the loop contracts by at least 1/2
+    raw = np.random.default_rng(seed).standard_normal((2, 2))
+    d_q = gain * raw / np.linalg.norm(raw, 2)
+    sys = iqc_fixture_system(d_q, p)
+    w = sys._loop_value(IQC_ROWS)
+    q = IQC_ROWS @ sys.C_q.T
+    residual = np.linalg.norm(w - p(q + w @ d_q.T), axis=1)
+    assert np.all(residual <= 1e-12 * (1.0 + np.linalg.norm(w, axis=1)))
+    for i in range(len(IQC_ROWS)):
+        alone = sys._loop_value(IQC_ROWS[i : i + 1])[0]
+        assert np.all(np.abs(alone - w[i]) <= 1e-15 * np.maximum(1.0, np.abs(w[i])))
+    assert sys._loop_value(IQC_ROWS[:0]).shape == (0, 2)
 
 
 def test_iqc_dimension_validation():
