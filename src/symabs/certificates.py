@@ -22,6 +22,7 @@ from .errors import (
     Infeasible,
     NegativeInput,
     NotPositiveDefinite,
+    NotSymmetric,
 )
 from .numerics import (
     DEFAULT_TOL,
@@ -194,73 +195,55 @@ def check_lmi_iqc(cert: IqcCertificate, sys: IqcSystem, tol: float = DEFAULT_TOL
     return nsd_check(assemble_lmi_iqc(cert, sys), tol)
 
 
-def _largest_holding(
-    holds: Callable[[float], bool], tol: float, cap: float, infeasible_msg: str, unbounded_msg: str
-) -> float:
-    """Threshold, to within ``tol``, of a condition that holds below it:
-    double an upper bracket until ``holds`` fails, then bisect."""
-    lo = tol
-    if not holds(lo):
-        raise Infeasible(infeasible_msg)
-    hi = max(1.0, 4.0 * lo)
-    while holds(hi):
-        hi *= 2.0
-        if hi > cap:
-            raise BadRange(unbounded_msg)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def _alpha_boundary(block0: np.ndarray, P: np.ndarray, tol: float) -> float:
+    """Largest alpha at which ``nsd_check(block, tol)`` holds, where
+    ``block`` is the certificate block ``block0`` at alpha = 0 with
+    2 alpha P added to its top-left n x n block.
+
+    Shifted by ``tol``, the test is  [[T + 2 alpha P, U], [U', W]] <= 0
+    with W the lower-right block.  If W is not negative definite no alpha
+    passes (by interlacing); otherwise the test is 2 alpha P <= -S, with S
+    = T - U W^{-1} U' the Schur complement, so with P = C C' the threshold
+    is alpha* = lambda_min(C^{-1} (-S) C^{-T}) / 2.
+    """
+    if float(np.max(np.abs(block0 - block0.T))) > tol:
+        raise NotSymmetric(f"certificate block: asymmetry exceeds tol {tol:.3e}")
+    n = P.shape[0]
+    shifted = block0 - tol * np.eye(block0.shape[0])
+    T, U, W = shifted[:n, :n], shifted[:n, n:], shifted[n:, n:]
+    alpha = -math.inf
+    if eig_extremes(W, tol).lambda_max < 0.0:
+        C = np.linalg.cholesky(P)
+        # C^{-1} (-S) C^{-T}, symmetrized so that rounding cannot trip tol = 0
+        X = np.linalg.solve(C, np.linalg.solve(C, U @ np.linalg.solve(W, U.T) - T).T)
+        alpha = 0.5 * eig_extremes(0.5 * (X + X.T), tol).lambda_min
+    if not alpha >= 1e-9:
+        raise Infeasible("inequality infeasible for every positive alpha")
+    return alpha
 
 
-def _alpha_boundary(
-    assemble: Callable[[float], np.ndarray], tol: float, bisect_tol: float, alpha_cap: float
-) -> float:
-    return _largest_holding(
-        lambda alpha: nsd_check(assemble(alpha), tol).holds, bisect_tol, alpha_cap,
-        "inequality infeasible for every positive alpha",
-        f"feasibility did not break below alpha = {alpha_cap:g}",
-    )
-
-
-def max_feasible_alpha_sine(
-    P,
-    R,
-    A,
-    m_gain: float,
-    tol: float = DEFAULT_TOL,
-    bisect_tol: float = 1e-9,
-    alpha_cap: float = 1e6,
-) -> float:
-    """Largest decay rate for which the sine-feedback inequality holds,
-    holding P and R fixed. Raises Infeasible if none exists."""
+def max_feasible_alpha_sine(P, R, A, m_gain: float, tol: float = DEFAULT_TOL) -> float:
+    """Largest decay rate at which the sine-feedback inequality holds up
+    to ``tol``, with P and R fixed: alpha* = lambda_min(C^{-1} (-S) C^{-T}) / 2
+    with P = C C' and S = A'P + PA + 2R + (m^2 - tol) I + P P / (1 + tol),
+    the Schur complement of the tol-shifted block at alpha = 0.  Raises
+    Infeasible if alpha* < 1e-9."""
     P, _ = _positive_definite(P, tol, "P")
     R = as_matrix(R, "R")
     A = as_matrix(A, "A")
-    return _alpha_boundary(
-        lambda alpha: _assemble_sine(P, R, alpha, m_gain, A), tol, bisect_tol, alpha_cap
-    )
+    return _alpha_boundary(_assemble_sine(P, R, 0.0, m_gain, A), P, tol)
 
 
-def max_feasible_alpha_iqc(
-    P,
-    L,
-    M,
-    sys: IqcSystem,
-    tol: float = DEFAULT_TOL,
-    bisect_tol: float = 1e-9,
-    alpha_cap: float = 1e6,
-) -> float:
-    """Largest decay rate for the interconnection inequality with P, L, M fixed."""
+def max_feasible_alpha_iqc(P, L, M, sys: IqcSystem, tol: float = DEFAULT_TOL) -> float:
+    """Largest decay rate for the interconnection inequality with P, L, M
+    fixed, up to ``tol``: alpha* = lambda_min(C^{-1} (-S) C^{-T}) / 2 with
+    P = C C' and S the Schur complement of the lower-right block W of the
+    tol-shifted block at alpha = 0.  Raises Infeasible if W is not
+    negative definite or alpha* < 1e-9."""
     P, _ = _positive_definite(P, tol, "P")
     L = as_matrix(L, "L")
     M = as_matrix(M, "M")
-    return _alpha_boundary(
-        lambda alpha: _assemble_iqc(P, L, alpha, M, sys), tol, bisect_tol, alpha_cap
-    )
+    return _alpha_boundary(_assemble_iqc(P, L, 0.0, M, sys), P, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +423,6 @@ def eta_feasible(
     alpha_hi: MonomialKInf,
     gamma: float | None = None,
     sigma: MonomialKInf | None = None,
-    tol: float = 1e-9,
 ) -> float:
     """Largest lattice radius satisfying the comparison-function condition.
 
@@ -449,28 +431,31 @@ def eta_feasible(
         alpha_lo^{-1}(alpha_hi(eta)) + eta < epsilon / rho,
 
     and with one (``gamma`` and ``sigma`` given, disturbance magnitude
-    equal to eta) the right side loses alpha_lo^{-1}(sigma(eta) / gamma)
+    equal to eta) the left side gains alpha_lo^{-1}(sigma(eta) / gamma)
     and sigma(eta) < gamma * alpha_lo(epsilon / rho) must hold as well.
-    Both sides are monotone in eta, so bisection to ``tol`` is exact.
+    With all comparison functions of one power p every term is linear in
+    eta, so the bound is where the two sides meet: with t = epsilon / rho,
+
+        eta* = min(t / (1 + (c_hi/c_lo)^{1/p} [+ (c_sigma/(gamma c_lo))^{1/p}]),
+                   t * (gamma c_lo / c_sigma)^{1/p}),
+
+    the bracket and the second term only with a disturbance model.
     """
     if (gamma is None) != (sigma is None):
         raise BadRange("gamma and sigma must be supplied together")
     if gamma is not None and not (math.isfinite(gamma) and gamma > 0.0):
         raise BadRange(f"gamma must be finite and positive, got {gamma}")
+    powers = {f.power for f in (alpha_lo, alpha_hi, sigma) if f is not None}
+    if len(powers) > 1:
+        raise BadRange(f"comparison functions must share one power, got {sorted(powers)}")
     target = prec.epsilon / prec.rho
-
-    def admissible(eta: float) -> bool:
-        lhs = alpha_lo.inverse(alpha_hi.forward(eta)) + eta
-        if gamma is not None:
-            lhs += alpha_lo.inverse(sigma.forward(eta) / gamma)
-            if sigma.forward(eta) >= gamma * alpha_lo.forward(target):
-                return False
-        return lhs < target
-
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise BadRange(f"tol must be finite and positive, got {tol}")
-    return _largest_holding(
-        admissible, tol, 1e30,
-        "no lattice radius above tol satisfies the condition",
-        "feasibility did not break; condition appears unbounded",
-    )
+    # with one power p, alpha_lo^{-1}(f(eta)) = eta * alpha_lo^{-1}(f(1))
+    slope = 1.0 + alpha_lo.inverse(alpha_hi.forward(1.0))
+    cap = math.inf
+    if gamma is not None:
+        slope += alpha_lo.inverse(sigma.forward(1.0) / gamma)
+        cap = target * sigma.inverse(gamma * alpha_lo.forward(1.0))
+    eta = min(target / slope, cap)
+    if not eta > 1e-9:
+        raise Infeasible("no lattice radius above 1e-9 satisfies the condition")
+    return eta

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: certify, eta-bound, simulate, verify, shrink-input-set.
+Commands: certify, eta-bound, simulate, verify, shrink-input-set.
 Each takes a config path or a bundled fixture name plus overriding
 flags, writes a JSON report (and a trajectory CSV for simulate) into
 the output directory, and exits 0 on a passing verdict, 1 on a failing
@@ -192,11 +192,7 @@ def cmd_eta_bound(cfg: ExperimentConfig, args) -> tuple[int, dict]:
 
 def cmd_shrink(cfg: ExperimentConfig, args) -> tuple[int, dict]:
     eta, _, thm = resolve_eta(cfg, args.theorem)
-    try:
-        consts, margin, shrunk = _shrunk_inputs(cfg, eta)
-    except EmptyResult as exc:
-        print(f"input set is empty after shrinking: {exc}")
-        return 1, {"command": "shrink-input-set", "empty": True, "reason": str(exc)}
+    consts, margin, shrunk = _shrunk_inputs(cfg, eta)
     report = {
         "command": "shrink-input-set",
         "eta": eta,
@@ -346,17 +342,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="symabs",
         description="Lattice abstractions with certificate-backed interfaces.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("config", help="config file path or bundled fixture name")
-        p.add_argument("--seed", type=int, default=None, help="64-bit experiment seed")
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--step", type=float, default=None)
-        p.add_argument("--horizon", type=float, default=None)
-        p.add_argument("--theorem", type=int, choices=(2, 3, 4), default=None)
-        p.add_argument("--out", default="out", help="output directory (default: out)")
-        p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("config", help="config file path or bundled fixture name")
+    parser.add_argument("--seed", type=int, default=None, help="64-bit experiment seed")
+    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--step", type=float, default=None)
+    parser.add_argument("--horizon", type=float, default=None)
+    parser.add_argument("--theorem", type=int, choices=(2, 3, 4), default=None)
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     return parser
 
 
@@ -384,6 +378,9 @@ def main(argv=None) -> int:
             raise SchemaError([f"--tol: expected a finite nonnegative number, got {args.tol}"])
         cfg = _apply_overrides(load_config(args.config), args)
         code, report = _COMMANDS[args.command](cfg, args)
+    except EmptyResult as exc:
+        print(f"input set is empty after shrinking: {exc}")
+        code, report = 1, {"command": args.command, "empty": True, "reason": str(exc)}
     except _CONFIG_ERRORS as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

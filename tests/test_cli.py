@@ -221,3 +221,27 @@ def test_report_is_sorted_json(tmp_path):
     main(["eta-bound", "example_sec6", "--out", str(out)])
     text = (out / "report.json").read_text()
     assert json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n" == text
+
+
+@pytest.mark.parametrize("command", ["verify", "simulate", "shrink-input-set"])
+def test_empty_shrunk_box_exits_1_with_report(tmp_path, capsys, command):
+    # eta "auto" under theorem 2 adopts eta = 0.25, whose margin r = 4.14
+    # empties the +-3 input box
+    cfg = write_config(tmp_path, lambda d: d.update(lattice={"eta": "auto", "theorem": 2}))
+    out = tmp_path / "out"
+    assert main([command, cfg, "--out", str(out)]) == 1
+    report = read_report(out)
+    assert report["command"] == command
+    assert report["empty"] is True
+    assert "empties the input box" in report["reason"]
+    assert "input set is empty after shrinking" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv", [["frobnicate", "example_sec6"], ["eta-bound", "example_sec6", "--theorem", "5"]]
+)
+def test_bad_command_line_exits_2(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert not (tmp_path / "out").exists()

@@ -36,3 +36,23 @@ def test_iqc_verify_matches_benchmark_reference(tmp_path, seed):
     report = json.loads((out / "report.json").read_text())
     got = workloads.extract(args, code, report)
     assert workloads.compare(reference[f"verify/iqc/{seed}"], got) == []
+
+
+def test_plan_values_match_benchmark_reference(tmp_path):
+    # certify and eta-bound --theorem 2/3 on every generated plan-sweep
+    # config: the rate boundary and the theorem-2/3 radii, each checked to
+    # the 1e-9 the reference allows
+    workloads = load_workloads()
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    out = tmp_path / "out"
+    off = {}
+    for op in workloads.pool("plan-sweep", tmp_path):
+        for call in op.calls:
+            if not call.key.endswith(("/certify", "/eta-bound-2", "/eta-bound-3")):
+                continue
+            code = main([*call.args, "--out", str(out)])
+            report = json.loads((out / "report.json").read_text()) if code in (0, 1) else None
+            bad = workloads.compare(reference[call.key], workloads.extract(call.args, code, report))
+            if bad:
+                off[call.key] = bad
+    assert off == {}
