@@ -8,8 +8,9 @@ fixed RK4 step, holding the quantized state constant within each step:
     dx1/dt = f(x1, v + G(x1 - Q(phi_at_step_start)))
     dphi/dt = f(phi, v)
 
-with phi(0) = Q(x1(0)).  Recorded samples expose x1, phi, x2 = Q(phi),
-both input channels, and the output gap per sample.
+with phi(0) = Q(x1(0)).  A run record stores only what is integrated,
+x1 and phi; x2 = Q(phi), both input channels and the output gap per
+sample are derived from them whenever they are read.
 
 A batch of T runs is integrated in one loop: the T concrete states and
 the T nominal states are the rows of one (2T, n) array, so every RK4
@@ -30,7 +31,7 @@ from .dynamics import (
     PiecewiseConstantSignal,
     SystemModel,
     _diverged,
-    _grid_values,
+    _signal_steps,
     _vector,
     rk4_step,
 )
@@ -43,24 +44,46 @@ from .lattice import LatticeParams, _snap
 class AugmentedRun:
     """Sampled record of one coupled run, or of a batch of runs.
 
-    Invariants: x2_states[i] is exactly the quantized phi_states[i], and
-    u_values[i] = v_values[i] + G (x1_states[i] - x2_states[i]).  Input
-    values at the final sample reuse the last active segment of v.
+    Only the integrated states ``x1_states`` and ``phi_states`` are
+    stored.  The other channels are derived, uncached, on every read:
+    ``x2_states`` is exactly the quantized ``phi_states``, ``v_values``
+    the signals on the sample grid, ``u_values = v_values + G (x1_states
+    - x2_states)`` and ``y_err`` the norm of C (x1 - x2) per sample.
+    Input values at the final sample reuse the last active segment of v.
 
     A batch record puts the trial first on every array but ``times``,
-    which the trials share; its ``exit_sample`` holds, per trial, the
-    first sample at which u leaves the input set, or -1.
+    which the trials share, and holds one signal per trial; its
+    ``exit_sample`` holds, per trial, the first sample at which u leaves
+    the input set, or -1.
     """
 
     times: np.ndarray
     x1_states: np.ndarray
     phi_states: np.ndarray
-    x2_states: np.ndarray
-    u_values: np.ndarray
-    v_values: np.ndarray
-    y_err: np.ndarray
     step: float
+    spacing: float
+    interface: AffineInterface
+    output: np.ndarray
+    signals: tuple[PiecewiseConstantSignal, ...]
     exit_sample: np.ndarray | None = None
+
+    @property
+    def x2_states(self) -> np.ndarray:
+        return _snap(self.phi_states, self.spacing) * self.spacing
+
+    @property
+    def v_values(self) -> np.ndarray:
+        n_steps = self.times.shape[0] - 1
+        values = [sig.step_values(self.step, n_steps) for sig in self.signals]
+        return np.stack(values) if self.x1_states.ndim == 3 else values[0]
+
+    @property
+    def u_values(self) -> np.ndarray:
+        return self.interface.apply(self.v_values, self.x1_states, self.x2_states)
+
+    @property
+    def y_err(self) -> np.ndarray:
+        return np.linalg.norm((self.x1_states - self.x2_states) @ self.output.T, axis=-1)
 
     def trial(self, k: int) -> AugmentedRun:
         """Trial ``k`` of a batch record, as views of the batch arrays."""
@@ -68,11 +91,11 @@ class AugmentedRun:
             times=self.times,
             x1_states=self.x1_states[k],
             phi_states=self.phi_states[k],
-            x2_states=self.x2_states[k],
-            u_values=self.u_values[k],
-            v_values=self.v_values[k],
-            y_err=self.y_err[k],
             step=self.step,
+            spacing=self.spacing,
+            interface=self.interface,
+            output=self.output,
+            signals=(self.signals[k],),
         )
 
 
@@ -114,48 +137,64 @@ def simulate_augmented(
         raise DimensionMismatch(
             f"interface gain is {iface.gain.shape}, system wants ({sys.input_dim}, {sys.n})"
         )
-    v_values = _grid_values(sys, signals, horizon, h)
-    n_steps = v_values.shape[1] - 1
+    n_steps, break_steps = _signal_steps(sys, signals, horizon, h)
     spacing = params.spacing
 
     def snap(phi):  # x2 = Q(phi)
         return _snap(phi, spacing) * spacing
 
     T, n = x1.shape
-    states = np.empty((2 * T, n_steps + 1, n))
-    x1_states, phi_states = states[:T], states[T:]
+    # Zeroed: first_exit derives u over whole trials before the loop fills them.
+    states = np.zeros((2 * T, n_steps + 1, n))
+    run = AugmentedRun(
+        times=np.arange(n_steps + 1) * h,
+        x1_states=states[:T],
+        phi_states=states[T:],
+        step=h,
+        spacing=spacing,
+        interface=iface,
+        output=sys.output_matrix(),
+        signals=tuple(signals),
+        exit_sample=np.full(T, -1),
+    )
     # Rows 0..T-1 of z are the concrete states, rows T..2T-1 the nominal
     # ones; the nominal rows are driven by v alone.
     z = np.concatenate([x1, snap(x1)])
     states[:, 0] = z
+    # v holds each trial's abstract input, set at its breakpoint steps.
+    v_now = np.empty((T, sys.input_dim))
+    changes: dict[int, list[tuple[int, int]]] = {}
+    for k, steps in enumerate(break_steps):
+        for j, step in enumerate(steps.tolist()):
+            changes.setdefault(step, []).append((k, j))
     u = np.empty((2 * T, sys.input_dim))
     # No trial's norm can exceed the limit while every entry is below this.
     entry_limit = DIVERGENCE_LIMIT / math.sqrt(2 * n)
 
-    def inputs(k: int, stop: int):
-        """x2 and u of trial k at samples 0..stop-1."""
-        x2k = snap(phi_states[k, :stop])
-        return x2k, iface.apply(v_values[k, :stop], x1_states[k, :stop], x2k)
+    def first_exit(k: int, stop: int) -> int | None:
+        """First of samples 0..stop-1 at which trial k's u leaves the input set."""
+        return input_box.first_exit(run.trial(k).u_values[:stop])
 
     def coupled(z):
-        u[:T] = iface.apply(v_i, z[:T], x2)
+        u[:T] = iface.apply(v_now, z[:T], x2)
         return sys.rhs(z, u)
 
     # An exit at sample 0 precedes any divergence, so a single run that
     # starts outside the input set needs no integration.
-    if single and input_box.first_exit(inputs(0, 1)[1]) is not None:
+    if single and first_exit(0, 1) is not None:
         raise _input_violation(0, h)
 
     for i in range(n_steps):
+        for k, j in changes.get(i, ()):
+            v_now[k] = signals[k].values[j]
         x2 = snap(z[T:])
-        v_i = v_values[:, i]
-        u[T:] = v_i
+        u[T:] = v_now
         z = rk4_step(coupled, z, h)
         if not np.abs(z).max() <= entry_limit:
             # A trial's first event decides its outcome: u leaving the
             # input set at one of samples 0..i, or divergence at i + 1.
             for k in np.flatnonzero(_diverged(np.hstack([z[:T], z[T:]]))):
-                if input_box.first_exit(inputs(k, i + 1)[1]) is None:
+                if first_exit(k, i + 1) is None:
                     where = "" if single else f"trial {k}: "
                     raise Diverged(f"{where}state norm exceeded {DIVERGENCE_LIMIT:g}")
                 # Settled as an input violation; keep its rows finite.
@@ -163,32 +202,14 @@ def simulate_augmented(
         states[:, i + 1] = z
 
     # One trial at a time, so temporaries stay O(steps * n).
-    x2_states = np.empty_like(x1_states)
-    u_values = np.empty_like(v_values)
-    y_err = np.empty((T, n_steps + 1))
-    exit_sample = np.full(T, -1)
-    out_t = sys.output_matrix().T
     for k in range(T):
-        x2_states[k], u_values[k] = inputs(k, n_steps + 1)
-        y_err[k] = np.linalg.norm((x1_states[k] - x2_states[k]) @ out_t, axis=1)
-        first = input_box.first_exit(u_values[k])
+        first = first_exit(k, n_steps + 1)
         if first is not None:
-            exit_sample[k] = first
-    run = AugmentedRun(
-        times=np.arange(n_steps + 1) * h,
-        x1_states=x1_states,
-        phi_states=phi_states,
-        x2_states=x2_states,
-        u_values=u_values,
-        v_values=v_values,
-        y_err=y_err,
-        step=h,
-        exit_sample=exit_sample,
-    )
+            run.exit_sample[k] = first
     if not single:
         return run
-    if exit_sample[0] >= 0:
-        raise _input_violation(int(exit_sample[0]), h)
+    if run.exit_sample[0] >= 0:
+        raise _input_violation(int(run.exit_sample[0]), h)
     return run.trial(0)
 
 

@@ -26,6 +26,7 @@ from .certificates import (
     max_feasible_alpha_sine,
 )
 from .config import ExperimentConfig, load_config, parse_config, resolve_eta, serialize_config
+from .dynamics import _steps_on_grid
 from .errors import (
     BadRange,
     DimensionMismatch,
@@ -261,6 +262,12 @@ def cmd_verify(cfg: ExperimentConfig, args) -> tuple[int, dict]:
     consts, margin, shrunk = _shrunk_inputs(cfg, eta)
     if not isinstance(shrunk, BoxInputSet):
         raise SchemaError(["input_set: verify requires a bounded input set"])
+    # The Lyapunov check takes central differences over three samples.
+    if _steps_on_grid(cfg.horizon, cfg.step) < 2:
+        raise SchemaError([
+            f"simulation.horizon: verify needs at least two steps of {cfg.step:g},"
+            f" got {cfg.horizon:g}"
+        ])
     cert_verdict = _certificate_verdict(cfg, args.tol)
     eta_ok = eta <= bound
     relation = verify_simulation_relation(

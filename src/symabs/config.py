@@ -34,7 +34,7 @@ from .dynamics import IqcSystem, SineSystem, SystemModel
 from .errors import BadRange, ParseError, SchemaError
 from .interface import ALL_SPACE, AffineInterface, BoxInputSet, InputSet
 from .lattice import LatticeParams
-from .numerics import eig_extremes, spectral_norm
+from .numerics import DEFAULT_TOL, asymmetry, eig_extremes, spectral_norm
 
 NONLINEARITIES = {
     "sin": np.sin,
@@ -381,9 +381,13 @@ def _cross_validate(cfg: ExperimentConfig) -> None:
         problems.append("system.A: must be square")
     if len(cfg.P) != n or any(len(row) != n for row in cfg.P):
         problems.append("certificate.P: must match the state dimension")
+    else:
+        _check_symmetric(problems, "certificate.P", cfg.P)
     if cfg.family == "sine":
         if cfg.R is not None and (len(cfg.R) != n or any(len(r) != n for r in cfg.R)):
             problems.append("certificate.R: must match the state dimension")
+        elif cfg.R is not None:
+            _check_symmetric(problems, "certificate.R", cfg.R)
         m_dim = n
     else:
         m_dim = len(cfg.B[0]) if cfg.B else 0
@@ -402,6 +406,13 @@ def _cross_validate(cfg: ExperimentConfig) -> None:
         problems.append("initial_box: lower bound exceeds upper bound")
     if problems:
         raise SchemaError(problems)
+
+
+def _check_symmetric(problems: list[str], field: str, rows) -> None:
+    # The eigen kernel's own test, at its default tolerance.
+    asym = asymmetry(np.array(rows, dtype=float))
+    if asym > DEFAULT_TOL:
+        problems.append(f"{field}: must be symmetric (asymmetry {asym:.3e} exceeds {DEFAULT_TOL:.3e})")
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:

@@ -13,8 +13,8 @@ where ``p`` is a static nonlinearity.  Both right-hand sides take one
 state or a stack of states as rows, so a batch of runs is stepped with
 one call; ``output_matrix()`` is each family's output map.  Integration
 uses a fixed-step classic Runge-Kutta scheme; inputs are piecewise
-constant with breakpoints on the step grid, checked and sampled by
-``_grid_values``, so the right-hand side is autonomous within every step.
+constant with breakpoints on the step grid, checked by ``_signal_steps``,
+so the right-hand side is autonomous within every step.
 """
 
 from __future__ import annotations
@@ -284,15 +284,16 @@ def _diverged(x: np.ndarray) -> np.ndarray:
         return ~(_norms(x) <= DIVERGENCE_LIMIT)
 
 
-def _grid_values(sys: SystemModel, signals, horizon: float, h: float) -> np.ndarray:
-    """Checked (signals, steps + 1, inputs) values on the grid 0, h, ..., horizon."""
+def _signal_steps(sys: SystemModel, signals, horizon: float, h: float) -> tuple[int, list[np.ndarray]]:
+    """Steps of the grid 0, h, ..., horizon, and each signal's breakpoints
+    as step indices, once the signals are checked against ``sys`` and the grid."""
     for sig in signals:
         if sig.dim != sys.input_dim:
             raise DimensionMismatch(f"signal dimension {sig.dim} != input dimension {sys.input_dim}")
     n_steps = _steps_on_grid(horizon, h)
     if horizon > min(sig.domain_end for sig in signals) * (1.0 + _ALIGN_RTOL):
         raise OutOfDomain("horizon extends past the signal domain")
-    return np.stack([sig.step_values(h, n_steps) for sig in signals])
+    return n_steps, [sig._break_steps(h) for sig in signals]
 
 
 def integrate_rk4(
@@ -304,8 +305,8 @@ def integrate_rk4(
 ) -> Trajectory:
     """Integrate ``sys`` under ``u`` from 0 to ``horizon`` with fixed step ``h``."""
     x = _vector(x0, sys.n, "x0")
-    vals = _grid_values(sys, [u], horizon, h)[0]
-    n_steps = vals.shape[0] - 1
+    n_steps, _ = _signal_steps(sys, [u], horizon, h)
+    vals = u.step_values(h, n_steps)
     states = np.empty((n_steps + 1, sys.n))
     states[0] = x
     for i in range(n_steps):

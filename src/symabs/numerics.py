@@ -46,6 +46,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
+def asymmetry(m: np.ndarray) -> float:
+    """Max-abs entry of ``m - m'`` for a square matrix (0 below 2x2)."""
+    return float(np.max(np.abs(m - m.T))) if m.shape[0] > 1 else 0.0
+
+
 def _square_symmetric(m, tol: float, name: str) -> np.ndarray:
     m = as_matrix(m, name)
     rows, cols = m.shape
@@ -53,7 +58,7 @@ def _square_symmetric(m, tol: float, name: str) -> np.ndarray:
         raise NonSquare(f"{name}: expected square, got {rows}x{cols}")
     if rows == 0:
         raise NonSquare(f"{name}: empty matrix")
-    asym = float(np.max(np.abs(m - m.T))) if rows > 1 else 0.0
+    asym = asymmetry(m)
     if asym > tol:
         raise NotSymmetric(f"{name}: asymmetry {asym:.3e} exceeds tol {tol:.3e}")
     return 0.5 * (m + m.T)

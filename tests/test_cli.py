@@ -183,6 +183,35 @@ def test_bad_flag_is_a_config_error(tmp_path, capsys, flag, value, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("horizon", ["0", "0.001"])
+def test_verify_needs_three_samples(tmp_path, capsys, monkeypatch, horizon):
+    # rejected before any trial is simulated
+    monkeypatch.setattr("symabs.cli.verify_simulation_relation", None)
+    out = tmp_path / "out"
+    assert main(["verify", "example_sec6", "--horizon", horizon, "--out", str(out)]) == 2
+    assert "simulation.horizon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_zero_horizon_is_one_sample(tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "example_sec6", "--horizon", "0", "--out", str(out)]) == 0
+    assert read_report(out)["samples"] == 1
+
+
+@pytest.mark.parametrize("command", ["certify", "eta-bound", "shrink-input-set", "simulate", "verify"])
+@pytest.mark.parametrize("field", ["P", "R"])
+def test_asymmetric_certificate_matrix_is_a_schema_error(tmp_path, capsys, command, field):
+    def skew(doc):
+        doc["certificate"][field][0][1] += 2.0
+
+    out = tmp_path / "out"
+    assert main([command, write_config(tmp_path, skew), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"certificate.{field}: must be symmetric (asymmetry 2.000e+00" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 def test_bad_tol_is_a_config_error(tmp_path, capsys, value):
     out = tmp_path / "out"

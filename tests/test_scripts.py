@@ -24,3 +24,11 @@ def test_eta_sensitivity_peaks_at_alpha(tmp_path, monkeypatch):
     assert [row["a"] for row in rows] == ["0.100000", "1.250000", "2.400000", "3.550000", "4.700000"]
     best = max(rows, key=lambda row: float(row["eta_bound"]))
     assert best["a"] == "2.400000"
+
+
+def test_verify_scaling_reports_one_row_per_trial_count(capsys):
+    assert load_script("verify_scaling").main(["--trials", "2", "--horizon", "0.05"]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [(row["trials"], row["horizon"], row["exit"]) for row in rows] == [("2", "0.05", "0")]
+    assert float(rows[0]["wall_s"]) > 0.0
+    assert float(rows[0]["peak_rss_mb"]) > 0.0

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,21 +192,56 @@ def test_relation_certified_label_passthrough():
     assert report.certified_by == "closed-form bound"
 
 
+def test_relation_memory_is_the_integrated_states():
+    # A run record stores x1 and phi only: 2n floats per sample per trial.
+    # The rest is derived one trial at a time, in temporaries of a few
+    # (steps + 1, n) arrays.
+    trials, steps, n = 40, 2000, 2
+    states_bytes = 2 * trials * (steps + 1) * n * 8
+    temporaries = 16 * (steps + 1) * n * 8
+    box = BoxInputSet(lower=np.array([-3.0, -3.0]), upper=np.array([3.0, 3.0]))
+    run_relation(trials=1, horizon=0.01, input_box=box)  # first-call allocations
+    tracemalloc.start()
+    try:
+        report = run_relation(trials=trials, horizon=steps * 1e-3, input_box=box)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert len(report.runs) == trials
+    assert peak < states_bytes + temporaries
+
+    starts = np.tile([0.4, -0.7], (trials, 1))
+    signals = [
+        PiecewiseConstantSignal(breakpoints=np.array([0.0]), values=np.zeros((1, 2)), domain_end=2.0)
+    ] * trials
+    batch = simulate_augmented(DEMO_SYS, DEMO_IFACE, starts, signals, DEMO_PARAMS, 2.0, 1e-3)
+    per_sample = [
+        a for a in vars(batch).values()
+        if isinstance(a, np.ndarray) and a.shape[:2] == (trials, steps + 1)
+    ]
+    assert sum(a.nbytes for a in per_sample) == states_bytes
+
+
 # -- decay-plus-offset bound ---------------------------------------------
 
 def synthetic_run(gap, n_samples=11, step=0.1):
     times = np.arange(n_samples) * step
     x1 = np.tile(np.array([gap, 0.0]), (n_samples, 1))
-    zeros = np.zeros((n_samples, 2))
+    # phi = 0 is a lattice point, so x2 = 0 and the output gap is ``gap``
     return AugmentedRun(
         times=times,
         x1_states=x1,
-        phi_states=zeros,
-        x2_states=zeros,
-        u_values=zeros,
-        v_values=zeros,
-        y_err=np.full(n_samples, gap),
+        phi_states=np.zeros((n_samples, 2)),
         step=step,
+        spacing=DEMO_PARAMS.spacing,
+        interface=DEMO_IFACE,
+        output=np.eye(2),
+        signals=(
+            PiecewiseConstantSignal(
+                breakpoints=np.array([0.0]), values=np.zeros((1, 2)), domain_end=n_samples * step
+            ),
+        ),
     )
 
 
