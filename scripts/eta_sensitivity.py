@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from symabs.config import load_config, theorem_eta_bound
+from symabs.config import build_plan, load_config
 
 
 def main():
@@ -27,7 +27,7 @@ def main():
     cfg = load_config("example_sec6")
 
     def closed_form(a):
-        return theorem_eta_bound(dataclasses.replace(cfg, a=float(a)), 4)
+        return build_plan(dataclasses.replace(cfg, a=float(a)), 4).bound
 
     grid = np.linspace(0.1, 2.0 * cfg.alpha - 0.1, args.points)
     bounds = [closed_form(a) for a in grid]
@@ -44,8 +44,8 @@ def main():
     print(f"swept a over ({grid[0]:.2f}, {grid[-1]:.2f}) in {args.points} points")
     print(f"max radius {bounds[best]:.6f} at a = {grid[best]:.4f} (alpha = {cfg.alpha})")
     print(f"radius at the demo's a = alpha: {closed_form(cfg.alpha):.6f}")
-    print(f"comparison-function bound, no disturbance: {theorem_eta_bound(cfg, 2):.6f}")
-    print(f"comparison-function bound, with disturbance: {theorem_eta_bound(cfg, 3):.6f}")
+    print(f"comparison-function bound, no disturbance: {build_plan(cfg, 2).bound:.6f}")
+    print(f"comparison-function bound, with disturbance: {build_plan(cfg, 3).bound:.6f}")
     print(f"curve -> {out}")
     return 0
 

@@ -379,11 +379,8 @@ def _scales(P, B, L, alpha: float, a: float) -> _Scales:
     return _Scales(k, ext, lhat, ratio, drift, math.sqrt(ratio + drift))
 
 
-def gps_constants(P, B, L, alpha: float, a: float, eta: float) -> GpsConstants:
-    """Derive the trajectory-bound constants for gain ``L`` fed through ``B``."""
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise BadRange(f"eta must be finite and positive, got {eta}")
-    s = _scales(P, B, L, alpha, a)
+def _gps_from_scales(s: _Scales, alpha: float, a: float, eta: float) -> GpsConstants:
+    """The trajectory-bound constants at radius ``eta`` on scales ``s``."""
     return GpsConstants(
         a=a,
         k=s.k,
@@ -399,6 +396,18 @@ def gps_constants(P, B, L, alpha: float, a: float, eta: float) -> GpsConstants:
     )
 
 
+def _closed_form_radius(prec: PrecisionSpec, K1: float) -> float:
+    """The radius with (K1 + 1) * eta * rho = epsilon."""
+    return prec.epsilon / (prec.rho * (1.0 + K1))
+
+
+def gps_constants(P, B, L, alpha: float, a: float, eta: float) -> GpsConstants:
+    """Derive the trajectory-bound constants for gain ``L`` fed through ``B``."""
+    if not (math.isfinite(eta) and eta > 0.0):
+        raise BadRange(f"eta must be finite and positive, got {eta}")
+    return _gps_from_scales(_scales(P, B, L, alpha, a), alpha, a, eta)
+
+
 def eta_bound_closed_form(P, B, L, C_out, alpha: float, a: float, epsilon: float) -> float:
     """Largest lattice radius guaranteeing output error ``epsilon``.
 
@@ -408,13 +417,8 @@ def eta_bound_closed_form(P, B, L, C_out, alpha: float, a: float, epsilon: float
 
     so the bound is epsilon / (||C_out|| * (1 + K1)).
     """
-    if not (math.isfinite(epsilon) and epsilon > 0.0):
-        raise BadRange(f"epsilon must be finite and positive, got {epsilon}")
     s = _scales(P, B, L, alpha, a)
-    rho = spectral_norm(C_out)
-    if rho <= 0.0:
-        raise BadRange("output matrix must be nonzero")
-    return epsilon / (rho * (1.0 + s.K1))
+    return _closed_form_radius(PrecisionSpec(epsilon, spectral_norm(C_out)), s.K1)
 
 
 def eta_feasible(

@@ -19,13 +19,13 @@ import numpy as np
 
 from .abstraction import AugmentedRun, simulate_augmented
 from .certificates import (
-    GpsConstants,
     check_lmi_iqc,
     check_lmi_sine,
     max_feasible_alpha_iqc,
     max_feasible_alpha_sine,
 )
-from .config import ExperimentConfig, load_config, parse_config, resolve_eta, serialize_config
+from .config import ExperimentConfig, Plan, build_plan, load_config, parse_config, serialize_config
+from .config import resolve_eta  # noqa: F401  unused here; the benchmark tracer wraps it (ROADMAP item 4)
 from .dynamics import _steps_on_grid
 from .errors import (
     BadRange,
@@ -78,6 +78,10 @@ _RUNTIME_ERRORS = (
 
 _CSV_CHUNK = 2048
 
+# Tolerance of verify's decay-bound (GPS) check.  It does not follow --tol,
+# which is the tolerance of the certificate checks only.
+_GPS_TOL = 1e-3
+
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
@@ -127,10 +131,6 @@ def write_trajectory_csv(path: Path, run: AugmentedRun) -> None:
             f.write("".join([row % tuple(r) for r in table[start : start + _CSV_CHUNK].tolist()]))
 
 
-def _constants_dict(consts: GpsConstants) -> dict:
-    return {f.name: getattr(consts, f.name) for f in dataclasses.fields(consts)}
-
-
 def _certificate_verdict(cfg: ExperimentConfig, tol: float) -> dict:
     cert = cfg.certificate()
     if cfg.family == "sine":
@@ -158,10 +158,9 @@ def _certificate_verdict(cfg: ExperimentConfig, tol: float) -> dict:
     }
 
 
-def _shrunk_inputs(cfg: ExperimentConfig, eta: float):
-    consts = cfg.constants(eta)
-    margin = input_margin(cfg.gain_matrix(), consts.K1, eta)
-    return consts, margin, shrink_box(cfg.input_set(), margin)
+def _shrunk_inputs(cfg: ExperimentConfig, plan: Plan):
+    margin = input_margin(cfg.gain_matrix(), plan.constants.K1, plan.eta)
+    return margin, shrink_box(cfg.input_set(), margin)
 
 
 def cmd_certify(cfg: ExperimentConfig, args) -> tuple[int, dict]:
@@ -178,28 +177,28 @@ def cmd_certify(cfg: ExperimentConfig, args) -> tuple[int, dict]:
 
 
 def cmd_eta_bound(cfg: ExperimentConfig, args) -> tuple[int, dict]:
-    eta, bound, thm = resolve_eta(cfg, args.theorem)
+    plan = build_plan(cfg, args.theorem)
     report = {
         "command": "eta-bound",
-        "theorem": thm,
-        "eta_bound": bound,
-        "eta": eta,
+        "theorem": plan.theorem,
+        "eta_bound": plan.bound,
+        "eta": plan.eta,
         "epsilon": cfg.epsilon,
-        "constants": _constants_dict(cfg.constants(eta)),
+        "constants": dataclasses.asdict(plan.constants),
     }
-    print(f"theorem {thm} admissible lattice radius: {_fmt(bound)}")
+    print(f"theorem {plan.theorem} admissible lattice radius: {_fmt(plan.bound)}")
     return 0, report
 
 
 def cmd_shrink(cfg: ExperimentConfig, args) -> tuple[int, dict]:
-    eta, _, thm = resolve_eta(cfg, args.theorem)
-    consts, margin, shrunk = _shrunk_inputs(cfg, eta)
+    plan = build_plan(cfg, args.theorem)
+    margin, shrunk = _shrunk_inputs(cfg, plan)
     report = {
         "command": "shrink-input-set",
-        "eta": eta,
-        "theorem": thm,
+        "eta": plan.eta,
+        "theorem": plan.theorem,
         "margin_r": margin,
-        "K1": consts.K1,
+        "K1": plan.constants.K1,
         "abstract_input_set": (
             "all"
             if not isinstance(shrunk, BoxInputSet)
@@ -215,8 +214,8 @@ def cmd_shrink(cfg: ExperimentConfig, args) -> tuple[int, dict]:
 
 
 def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict]:
-    eta, bound, thm = resolve_eta(cfg, args.theorem)
-    consts, margin, shrunk = _shrunk_inputs(cfg, eta)
+    plan = build_plan(cfg, args.theorem)
+    margin, shrunk = _shrunk_inputs(cfg, plan)
     if not isinstance(shrunk, BoxInputSet):
         raise SchemaError(["input_set: simulate requires a bounded input set"])
     rng = trial_rng(cfg.seed, 0)
@@ -227,7 +226,7 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict]:
         cfg.interface(),
         x0,
         sig,
-        cfg.lattice_params(eta),
+        cfg.lattice_params(plan.eta),
         cfg.horizon,
         cfg.step,
         input_box=cfg.input_set(),
@@ -241,14 +240,14 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict]:
     report = {
         "command": "simulate",
         "seed": cfg.seed,
-        "eta": eta,
-        "eta_bound": bound,
-        "theorem": thm,
+        "eta": plan.eta,
+        "eta_bound": plan.bound,
+        "theorem": plan.theorem,
         "epsilon": cfg.epsilon,
         "max_y_err": max_err,
         "passed": passed,
         "margin_r": margin,
-        "constants": _constants_dict(consts),
+        "constants": dataclasses.asdict(plan.constants),
         "abstract_input_set": {"lower": shrunk.lower, "upper": shrunk.upper},
         "csv": csv_path.name,
         "samples": int(run.times.shape[0]),
@@ -258,8 +257,8 @@ def cmd_simulate(cfg: ExperimentConfig, args) -> tuple[int, dict]:
 
 
 def cmd_verify(cfg: ExperimentConfig, args) -> tuple[int, dict]:
-    eta, bound, thm = resolve_eta(cfg, args.theorem)
-    consts, margin, shrunk = _shrunk_inputs(cfg, eta)
+    plan = build_plan(cfg, args.theorem)
+    margin, shrunk = _shrunk_inputs(cfg, plan)
     if not isinstance(shrunk, BoxInputSet):
         raise SchemaError(["input_set: verify requires a bounded input set"])
     # The Lyapunov check takes central differences over three samples.
@@ -269,11 +268,11 @@ def cmd_verify(cfg: ExperimentConfig, args) -> tuple[int, dict]:
             f" got {cfg.horizon:g}"
         ])
     cert_verdict = _certificate_verdict(cfg, args.tol)
-    eta_ok = eta <= bound
+    eta_ok = plan.eta <= plan.bound
     relation = verify_simulation_relation(
         cfg.system(),
         cfg.interface(),
-        cfg.lattice_params(eta),
+        cfg.lattice_params(plan.eta),
         cfg.epsilon,
         shrunk,
         cfg.initial_box(),
@@ -283,11 +282,11 @@ def cmd_verify(cfg: ExperimentConfig, args) -> tuple[int, dict]:
         cfg.step,
         cfg.dwell,
         input_box=cfg.input_set(),
-        certified_by=f"theorem {thm}" if eta_ok and cert_verdict["holds"] else None,
+        certified_by=f"theorem {plan.theorem}" if eta_ok and cert_verdict["holds"] else None,
     )
-    gps_reports = [verify_gps_trajectory(r, consts, args.tol * 1e6) for r in relation.runs]
+    gps_reports = [verify_gps_trajectory(r, plan.constants, _GPS_TOL) for r in relation.runs]
     P = np.array(cfg.P)
-    lyap_reports = [lyapunov_decrease_check(r, P, consts) for r in relation.runs]
+    lyap_reports = [lyapunov_decrease_check(r, P, plan.constants) for r in relation.runs]
     note = None
     if relation.passed and not (eta_ok and cert_verdict["holds"]):
         note = (
@@ -297,8 +296,8 @@ def cmd_verify(cfg: ExperimentConfig, args) -> tuple[int, dict]:
     report = {
         "command": "verify",
         "certificate": cert_verdict,
-        "eta": {"value": eta, "bound": bound, "theorem": thm, "satisfied": eta_ok},
-        "constants": _constants_dict(consts),
+        "eta": {"value": plan.eta, "bound": plan.bound, "theorem": plan.theorem, "satisfied": eta_ok},
+        "constants": dataclasses.asdict(plan.constants),
         "margin_r": margin,
         "abstract_input_set": {"lower": shrunk.lower, "upper": shrunk.upper},
         "relation": {

@@ -1,4 +1,4 @@
-"""Experiment configuration: JSON schema, validation, and plan helpers.
+"""Experiment configuration: JSON schema, validation, and the plan.
 
 A configuration is one JSON document with explicit matrices; nothing is
 read from side files, so configs are self-contained and diffable.  The
@@ -24,17 +24,20 @@ from .certificates import (
     MonomialKInf,
     PrecisionSpec,
     SineCertificate,
+    _closed_form_radius,
+    _gps_from_scales,
     _scales,
-    eta_bound_closed_form,
+    eta_bound_closed_form,  # noqa: F401
     eta_feasible,
     gps_constants,
     lipschitz_delta_mm,
 )
-from .dynamics import IqcSystem, SineSystem, SystemModel
-from .errors import BadRange, ParseError, SchemaError
+from .dynamics import IqcSystem, SineSystem, SystemModel, _steps_on_grid
+from .errors import BadRange, MisalignedSignal, ParseError, SchemaError
 from .interface import ALL_SPACE, AffineInterface, BoxInputSet, InputSet
 from .lattice import LatticeParams
-from .numerics import DEFAULT_TOL, asymmetry, eig_extremes, spectral_norm
+# eig_extremes, eta_bound_closed_form: unused here; the benchmark tracer wraps them (ROADMAP item 4).
+from .numerics import DEFAULT_TOL, asymmetry, eig_extremes, spectral_norm  # noqa: F401
 
 NONLINEARITIES = {
     "sin": np.sin,
@@ -149,9 +152,6 @@ class ExperimentConfig:
 
     def young_parameter(self) -> float:
         return self.alpha if self.a is None else self.a
-
-    def precision(self) -> PrecisionSpec:
-        return PrecisionSpec(epsilon=self.epsilon, rho=spectral_norm(self.system().output_matrix()))
 
     def input_set(self) -> InputSet:
         if self.input_lower is None:
@@ -404,6 +404,10 @@ def _cross_validate(cfg: ExperimentConfig) -> None:
         problems.append("initial_box: bounds must match the state dimension")
     elif any(lo > hi for lo, hi in zip(cfg.init_lower, cfg.init_upper)):
         problems.append("initial_box: lower bound exceeds upper bound")
+    try:
+        _steps_on_grid(cfg.horizon, cfg.step)
+    except MisalignedSignal:
+        problems.append(f"simulation.horizon: {cfg.horizon:g} is not a whole number of steps of {cfg.step:g}")
     if problems:
         raise SchemaError(problems)
 
@@ -474,53 +478,47 @@ def load_config(path_or_name: str) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# plan helpers
+# the plan
 
 
-def theorem_eta_bound(cfg: ExperimentConfig, theorem: int) -> float:
-    """Admissible lattice radius under the selected condition.
+@dataclass(frozen=True)
+class Plan:
+    """One command's planning chain, derived from one call of the
+    certificate scales and one of ``rho = ||C_out||``: the theorem, its
+    admissible lattice radius ``bound``, the radius ``eta`` in use, rho
+    and the trajectory-bound constants at ``eta``."""
 
-    2: comparison-function condition without a disturbance model;
-    3: the same with the quantization disturbance folded in;
-    4: closed-form bound from the certificate constants.
-    """
-    P = np.array(cfg.P)
-    alpha = cfg.alpha
+    theorem: int
+    bound: float
+    eta: float
+    rho: float
+    constants: GpsConstants
+
+
+def build_plan(cfg: ExperimentConfig, theorem: int | None = None) -> Plan:
+    """Plan ``cfg`` under ``theorem`` (default: the config's, else 4): 2,
+    the comparison-function condition; 3, the same with the quantization
+    disturbance folded in; 4, the closed form on K1.  An explicit eta is
+    kept and reported against the bound; 'auto' adopts the bound."""
+    thm = theorem if theorem is not None else (cfg.theorem if cfg.theorem else 4)
     a = cfg.young_parameter()
-    if theorem == 4:
-        return eta_bound_closed_form(
-            P=P,
-            B=cfg.input_span_matrix(),
-            L=cfg.gain_matrix(),
-            C_out=cfg.system().output_matrix(),
-            alpha=alpha,
-            a=a,
-            epsilon=cfg.epsilon,
-        )
-    if theorem == 2:
-        ext, disturbance = eig_extremes(P), {}
-    elif theorem == 3:
-        s = _scales(P, cfg.input_span_matrix(), cfg.gain_matrix(), alpha, a)
-        ext = s.ext
-        disturbance = {"gamma": s.k, "sigma": MonomialKInf(coeff=s.lhat / a, power=2.0)}
+    s = _scales(np.array(cfg.P), cfg.input_span_matrix(), cfg.gain_matrix(), cfg.alpha, a)
+    prec = PrecisionSpec(epsilon=cfg.epsilon, rho=spectral_norm(cfg.system().output_matrix()))
+    lo = MonomialKInf(coeff=s.ext.lambda_min, power=2.0)
+    hi = MonomialKInf(coeff=s.ext.lambda_max, power=2.0)
+    if thm == 2:
+        bound = eta_feasible(prec, lo, hi)
+    elif thm == 3:
+        bound = eta_feasible(prec, lo, hi, gamma=s.k, sigma=MonomialKInf(coeff=s.lhat / a, power=2.0))
+    elif thm == 4:
+        bound = _closed_form_radius(prec, s.K1)
     else:
-        raise BadRange(f"theorem must be 2, 3, or 4, got {theorem}")
-    return eta_feasible(
-        cfg.precision(),
-        MonomialKInf(coeff=ext.lambda_min, power=2.0),
-        MonomialKInf(coeff=ext.lambda_max, power=2.0),
-        **disturbance,
-    )
+        raise BadRange(f"theorem must be 2, 3, or 4, got {thm}")
+    eta = bound if cfg.eta == "auto" else float(cfg.eta)
+    return Plan(thm, bound, eta, prec.rho, _gps_from_scales(s, cfg.alpha, a, eta))
 
 
 def resolve_eta(cfg: ExperimentConfig, theorem: int | None = None) -> tuple[float, float, int]:
-    """Resolve the lattice radius to use: (eta, bound, theorem).
-
-    An explicit eta is kept and reported against the bound; 'auto' adopts
-    the bound itself.
-    """
-    thm = theorem if theorem is not None else (cfg.theorem if cfg.theorem else 4)
-    bound = theorem_eta_bound(cfg, thm)
-    if cfg.eta == "auto":
-        return bound, bound, thm
-    return float(cfg.eta), bound, thm
+    """The (eta, bound, theorem) of ``build_plan(cfg, theorem)``."""
+    p = build_plan(cfg, theorem)
+    return p.eta, p.bound, p.theorem

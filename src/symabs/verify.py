@@ -111,7 +111,6 @@ def verify_simulation_relation(
     dwell: float,
     input_box: InputSet = ALL_SPACE,
     certified_by: str | None = None,
-    keep_runs: bool = True,
 ) -> RelationReport:
     """Randomized check that outputs of the coupled pair stay epsilon-close.
 
@@ -156,8 +155,7 @@ def verify_simulation_relation(
         if report.max_gap > max_err:
             max_err = report.max_gap
             argmax_time = report.argmax_time
-        if keep_runs:
-            runs.append(run)
+        runs.append(run)
     return RelationReport(
         passed=violations == 0 and max_err <= epsilon,
         epsilon=epsilon,

@@ -6,6 +6,7 @@ from test_abstraction import IQC_DOC
 
 from symabs.cli import main
 from symabs.config import load_config, serialize_config
+from symabs.verify import verify_gps_trajectory
 
 CSV_HEADER = "t,x1_1,x1_2,phi_1,phi_2,x2_1,x2_2,u_1,u_2,v_1,v_2,y_err"
 
@@ -235,6 +236,41 @@ def test_wrong_nonlinearity_shape_is_a_config_error(tmp_path, capsys, d_q):
     code = main(["verify", str(path), "--trials", "2", "--horizon", "0.1", "--out", str(out)])
     assert code == 2
     assert "nonlinearity returned shape" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["certify", "eta-bound", "shrink-input-set", "simulate", "verify"])
+@pytest.mark.parametrize(
+    "flags, mutate",
+    [
+        (["--horizon", "0.0015", "--trials", "2"], None),
+        (["--step", "0.003"], None),
+        ([], lambda d: d["simulation"].update(horizon=0.0105)),
+    ],
+)
+def test_misaligned_horizon_is_a_schema_error(tmp_path, capsys, monkeypatch, command, flags, mutate):
+    # rejected by the schema, before any planning
+    monkeypatch.setattr("symabs.cli.build_plan", None)
+    out = tmp_path / "out"
+    assert main([command, write_config(tmp_path, mutate), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "simulation.horizon: " in err and "is not a whole number of steps" in err
+    assert not out.exists()
+
+
+def test_gps_tolerance_does_not_follow_tol(tmp_path, monkeypatch):
+    seen = []
+
+    def record(run, consts, tol):
+        seen.append(tol)
+        return verify_gps_trajectory(run, consts, tol)
+
+    monkeypatch.setattr("symabs.cli.verify_gps_trajectory", record)
+    flags = ["--trials", "2", "--horizon", "0.05"]
+    assert main(["verify", "example_sec6", *flags, "--out", str(tmp_path / "a")]) == 0
+    default = list(seen)
+    seen.clear()
+    assert main(["verify", "example_sec6", *flags, "--tol", "0", "--out", str(tmp_path / "b")]) == 0
+    assert default == seen == [1e-3, 1e-3]
 
 
 def test_runtime_error_exit_code(tmp_path):

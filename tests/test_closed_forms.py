@@ -26,7 +26,7 @@ from symabs.certificates import (
     max_feasible_alpha_iqc,
     max_feasible_alpha_sine,
 )
-from symabs.config import load_config, parse_config, theorem_eta_bound
+from symabs.config import build_plan, load_config, parse_config
 from symabs.errors import BadRange, Infeasible, NotSymmetric
 from symabs.numerics import DEFAULT_TOL, nsd_check
 
@@ -143,9 +143,9 @@ def test_eta_feasible_is_where_the_sides_meet(c_lo, c_hi, c_sigma, gamma, epsilo
 
 def test_demo_theorem_2_and_3_radii():
     cfg = load_config("example_sec6")
-    assert theorem_eta_bound(cfg, 2) == 0.25
+    assert build_plan(cfg, 2).bound == 0.25
     # (2 + sqrt(25 / 5.76)) eta = 0.5
-    assert abs(theorem_eta_bound(cfg, 3) - 6.0 / 49.0) <= 1e-15
+    assert abs(build_plan(cfg, 3).bound - 6.0 / 49.0) <= 1e-15
 
 
 def test_eta_feasible_rejects_mixed_powers():

@@ -6,11 +6,11 @@ import pytest
 
 from symabs.config import (
     fixture_names,
+    build_plan,
     load_config,
     parse_config,
     resolve_eta,
     serialize_config,
-    theorem_eta_bound,
 )
 from symabs.dynamics import IqcSystem, SineSystem
 from symabs.errors import BadRange, ParseError, SchemaError
@@ -66,7 +66,7 @@ def test_fixture_builders():
     assert isinstance(cfg.system(), SineSystem)
     assert np.array_equal(cfg.gain_matrix(), -5.0 * np.eye(2))
     assert cfg.interface().input_dim == 2
-    assert cfg.precision().rho == pytest.approx(1.0, abs=1e-9)
+    assert build_plan(cfg).rho == pytest.approx(1.0, abs=1e-9)
     assert cfg.lattice_params(0.15).spacing == pytest.approx(0.3 / math.sqrt(2.0), abs=0.0)
     assert cfg.input_set().contains([3.0, -3.0])
     assert cfg.initial_box().contains([1.0, -1.0])
@@ -160,16 +160,16 @@ def test_explicit_eta_reported_against_bound():
 
 def test_theorem_bounds_ordering():
     cfg = load_config("example_sec6")
-    plain = theorem_eta_bound(cfg, 2)
-    with_disturbance = theorem_eta_bound(cfg, 3)
-    closed_form = theorem_eta_bound(cfg, 4)
+    plain = build_plan(cfg, 2).bound
+    with_disturbance = build_plan(cfg, 3).bound
+    closed_form = build_plan(cfg, 4).bound
     assert plain == pytest.approx(0.25, abs=2e-9)
     assert with_disturbance == pytest.approx(6.0 / 49.0, abs=2e-9)
     assert closed_form == pytest.approx(0.15101615277815134, abs=1e-12)
     # folding the disturbance into the comparison route costs radius
     assert with_disturbance < closed_form < plain
     with pytest.raises(BadRange):
-        theorem_eta_bound(cfg, 5)
+        build_plan(cfg, 5)
 
 
 def test_load_config_from_file(tmp_path):

@@ -139,12 +139,15 @@ def test_relation_demo_passes():
 
 def test_relation_deterministic():
     a = run_relation()
-    b = run_relation(keep_runs=False)
+    b = run_relation()
     assert a.passed == b.passed
     assert a.max_err == b.max_err
     assert a.argmax_time == b.argmax_time
     assert a.per_trial_max_err == b.per_trial_max_err
-    assert b.runs == []
+    assert len(b.runs) == len(a.runs) == 3
+    for ra, rb in zip(a.runs, b.runs):
+        assert np.array_equal(ra.x1_states, rb.x1_states)
+        assert np.array_equal(ra.phi_states, rb.phi_states)
 
 
 def test_relation_zero_horizon_trivial():
