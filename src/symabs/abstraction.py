@@ -179,12 +179,10 @@ def simulate_augmented(
         u[:T] = iface.apply(v_now, z[:T], x2)
         return sys.rhs(z, u)
 
-    # An exit at sample 0 precedes any divergence, so a single run that
-    # starts outside the input set needs no integration.
-    if single and first_exit(0, 1) is not None:
-        raise _input_violation(0, h)
-
-    for i in range(n_steps):
+    # An exit at sample 0 precedes any divergence, so when every trial
+    # starts outside the input set no step needs integrating.
+    started_outside = all(first_exit(k, 1) is not None for k in range(T))
+    for i in range(0 if started_outside else n_steps):
         for k, j in changes.get(i, ()):
             v_now[k] = signals[k].values[j]
         x2 = snap(z[T:])

@@ -93,7 +93,7 @@ class RelationReport:
     seed: int
     per_trial_max_err: list[float]
     input_violations: int
-    certified_by: str | None = None
+    exit_times: list[float | None]
     runs: list[AugmentedRun] = field(default_factory=list, repr=False)
 
 
@@ -110,7 +110,6 @@ def verify_simulation_relation(
     h: float,
     dwell: float,
     input_box: InputSet = ALL_SPACE,
-    certified_by: str | None = None,
 ) -> RelationReport:
     """Randomized check that outputs of the coupled pair stay epsilon-close.
 
@@ -118,8 +117,9 @@ def verify_simulation_relation(
     signal from ``uprime``; all trials are simulated as one batch, and
     each trial's outputs are compared on the shared grid.  A trial that
     violates the declared concrete input set counts as a failure without
-    stopping the others.  Kept runs are views of the batch record.
-    Verdicts are evidence, not proof.
+    stopping the others; ``exit_times`` holds, per trial, the time at which
+    its u first left that set, or None.  Kept runs are views of the batch
+    record.  Verdicts are evidence, not proof.
     """
     if not isinstance(uprime, BoxInputSet):
         raise BadRange("sampling abstract inputs requires a bounded box")
@@ -135,12 +135,14 @@ def verify_simulation_relation(
     )
     out = sys.output_matrix()
     per_trial: list[float] = []
+    exit_times: list[float | None] = []
     runs: list[AugmentedRun] = []
     violations = 0
     max_err = -math.inf
     argmax_time = 0.0
     for k in range(trials):
-        if batch.exit_sample[k] >= 0:
+        exit_times.append(int(batch.exit_sample[k]) * h if batch.exit_sample[k] >= 0 else None)
+        if exit_times[k] is not None:
             violations += 1
             per_trial.append(math.inf)
             max_err = math.inf
@@ -165,7 +167,7 @@ def verify_simulation_relation(
         seed=seed,
         per_trial_max_err=per_trial,
         input_violations=violations,
-        certified_by=certified_by,
+        exit_times=exit_times,
         runs=runs,
     )
 

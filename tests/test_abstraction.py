@@ -129,6 +129,13 @@ def test_input_violation_at_sample_zero_skips_integration():
             constant_signal([0.0, 0.0], 1.0), params, 0.5, 1e-3, input_box=tight,
         )
     assert sys_model.rhs_calls == 0
+    # likewise a batch whose every trial starts outside the set
+    batch = simulate_augmented(
+        sys_model, demo_interface(), [[0.4, -0.7], [-0.3, 0.2]],
+        [constant_signal([0.0, 0.0], 1.0)] * 2, params, 0.5, 1e-3, input_box=tight,
+    )
+    assert sys_model.rhs_calls == 0
+    assert np.array_equal(batch.exit_sample, [0, 0])
     # a start on a lattice point has no correction at sample 0 and runs
     run = simulate_augmented(
         sys_model, demo_interface(), [0.0, 0.0],

@@ -25,6 +25,12 @@ def read_report(out_dir):
         return json.load(fh)
 
 
+def write_iqc_config(tmp_path):
+    path = tmp_path / "iqc.json"
+    path.write_text(json.dumps(IQC_DOC))
+    return str(path)
+
+
 def test_certify_demo_fails_with_boundary(tmp_path, capsys):
     out = tmp_path / "out"
     code = main(["certify", "example_sec6", "--out", str(out)])
@@ -52,10 +58,7 @@ def test_eta_bound_prints_value(tmp_path, capsys):
 @pytest.mark.parametrize("fixture", ["example_sec6", "iqc"])
 def test_theorem4_bound_is_where_the_offset_meets_epsilon(tmp_path, fixture):
     # (K1 + 1) * eta * ||C|| = epsilon at the theorem-4 radius
-    config = "example_sec6"
-    if fixture == "iqc":
-        config = str(tmp_path / "iqc.json")
-        (tmp_path / "iqc.json").write_text(json.dumps(IQC_DOC))
+    config = write_iqc_config(tmp_path) if fixture == "iqc" else fixture
     out = tmp_path / "out"
     assert main(["eta-bound", config, "--theorem", "4", "--out", str(out)]) == 0
     report = read_report(out)
@@ -150,6 +153,30 @@ def test_verify_demo_short_run(tmp_path, capsys):
     assert report["note"] is not None
     assert report["relation"]["certified_by"] is None
     assert "note" in capsys.readouterr().out
+
+
+def test_verify_certified_by_names_the_theorem(tmp_path):
+    # the IQC certificate holds and eta 0.05 is below the theorem-4 bound
+    out = tmp_path / "out"
+    flags = ["--trials", "2", "--horizon", "0.05"]
+    assert main(["verify", write_iqc_config(tmp_path), *flags, "--out", str(out)]) == 0
+    report = read_report(out)
+    assert report["certificate"]["holds"] is True
+    assert report["eta"]["satisfied"] is True
+    assert report["relation"]["certified_by"] == "theorem 4"
+    assert report["note"] is None
+
+
+@pytest.mark.parametrize("config", ["example_sec6", "iqc"])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_simulate_is_verify_trial_0(tmp_path, config, seed):
+    cfg = write_iqc_config(tmp_path) if config == "iqc" else config
+    flags = ["--seed", str(seed), "--horizon", "2"]
+    assert main(["simulate", cfg, *flags, "--out", str(tmp_path / "s")]) == 0
+    assert main(["verify", cfg, *flags, "--trials", "1", "--out", str(tmp_path / "v")]) == 0
+    simulated = read_report(tmp_path / "s")
+    verified = read_report(tmp_path / "v")
+    assert simulated["max_y_err"] == verified["relation"]["per_trial_max_err"][0]
 
 
 def test_config_error_exit_codes(tmp_path):
@@ -271,6 +298,29 @@ def test_gps_tolerance_does_not_follow_tol(tmp_path, monkeypatch):
     seen.clear()
     assert main(["verify", "example_sec6", *flags, "--tol", "0", "--out", str(tmp_path / "b")]) == 0
     assert default == seen == [1e-3, 1e-3]
+
+
+def unstable_input_violation(doc):
+    # u = v + G(x1 - x2) with G = -I grows with the unstable gap until it
+    # leaves the +-6 box at t = 3.5, long before the states diverge
+    doc["system"]["A"] = [[2.0, 0.0], [0.0, 2.0]]
+    doc["certificate"]["R"] = [[-1.0, 0.0], [0.0, -1.0]]
+    doc["certificate"]["alpha"] = 0.5
+    doc["input_set"] = {"lower": [-6.0, -6.0], "upper": [6.0, 6.0]}
+
+
+def test_simulate_input_violation_exits_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, unstable_input_violation)
+    out = tmp_path / "out"
+    assert main(["simulate", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "runtime error: interface input left the declared set at t = 3.5" in err
+    assert not out.exists()
+    # verify counts the same trial as a failed one
+    assert main(["verify", cfg, "--trials", "1", "--out", str(out)]) == 1
+    relation = read_report(out)["relation"]
+    assert relation["input_violations"] == 1
+    assert relation["max_err"] == float("inf")
 
 
 def test_runtime_error_exit_code(tmp_path):

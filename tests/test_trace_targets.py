@@ -41,7 +41,9 @@ def test_every_trace_target_resolves():
 # changes a set; the per-layer metrics of the benchmark would read 0.
 # Planning reads one plan per command, so no planning command calls
 # resolve_eta, ExperimentConfig.constants or gps_constants, and under
-# theorem 4 (the default) none calls the eta_bound span either.
+# theorem 4 (the default) none calls the eta_bound span either.  simulate
+# runs verify's relation over one trial, so it calls the relation and
+# eps_close spans; only verify calls the certificate and post-run checks.
 COMMAND_SPANS = {
     "certify": {
         "certificates.boundary", "certificates.lmi_check", "cli.report_write",
@@ -58,7 +60,8 @@ COMMAND_SPANS = {
     "simulate": {
         "abstraction.simulate", "cli.csv_write", "cli.report_write", "config.load",
         "dynamics.rhs.sine", "dynamics.rk4", "interface.margin", "lattice.snap",
-        "numerics.eig_extremes", "numerics.spectral_norm", "verify.trial_setup",
+        "numerics.eig_extremes", "numerics.spectral_norm", "verify.eps_close",
+        "verify.relation", "verify.trial_setup",
     },
     "verify": {
         "abstraction.simulate", "certificates.boundary", "certificates.lmi_check",

@@ -168,6 +168,7 @@ def test_relation_counts_input_violations():
     )
     assert not report.passed
     assert report.input_violations == 3
+    assert report.exit_times == [0.0, 0.0, 0.0]
     assert report.max_err == math.inf
     assert all(math.isinf(v) for v in report.per_trial_max_err)
 
@@ -188,11 +189,6 @@ def test_relation_mean_error_monotone_in_eta():
         report = run_relation(eta=eta, trials=5)
         means.append(float(np.mean(report.per_trial_max_err)))
     assert means[0] >= means[1] >= means[2]
-
-
-def test_relation_certified_label_passthrough():
-    report = run_relation(certified_by="closed-form bound")
-    assert report.certified_by == "closed-form bound"
 
 
 def test_relation_memory_is_the_integrated_states():
@@ -333,11 +329,18 @@ def test_relation_isolates_violating_trials():
     assert not boxed.passed
     assert boxed.input_violations == 3
     assert len(boxed.runs) == 3
-    for run, err, free_err in zip(free.runs, boxed.per_trial_max_err, free.per_trial_max_err):
+    assert free.exit_times == [None] * 6
+    for run, err, free_err, exit_time in zip(
+        free.runs, boxed.per_trial_max_err, free.per_trial_max_err, boxed.exit_times
+    ):
         if float(np.max(np.abs(run.u_values))) > bound:
             assert math.isinf(err)
+            # the first sample of u outside the box, on the shared grid
+            first = int(np.argmax(np.any(np.abs(run.u_values) > bound, axis=1)))
+            assert exit_time == run.times[first]
         else:
             assert err == free_err
+            assert exit_time is None
 
 
 def test_relation_counts_violation_before_divergence():
